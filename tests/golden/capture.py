@@ -1,0 +1,135 @@
+"""Capture byte-exact CLI goldens: stdout and exit code of every case.
+
+Usage (from the repository root)::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/golden/capture.py
+
+The corpus is ``samples/`` plus seeded instances built with
+``tests/gen.py``, which are written to ``tests/golden/inputs/``.  Every
+subcommand runs on every input (including the ones that must fail, so
+the exit-code contract is pinned as well), and one file per input under
+``tests/golden/expected/`` records the cases.  ``tests/test_golden.py``
+replays them.  Re-capturing is a deliberate golden update: review the
+diff and record it in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+sys.path.insert(0, str(HERE.parent))
+
+from gen import random_coupling, random_measures, random_tree  # noqa: E402
+
+from wassertree import cli, serialize  # noqa: E402
+
+SEED = 20261017
+GEN_COUNT = 50
+TIMES = "--times=-2,-1/2,0,1,3"
+
+INSTANCE_ARGS = [
+    ["validate"],
+    ["flows"],
+    ["d0"],
+    ["solve"],
+    ["solve", "--decimal", "6"],
+    ["check-monotone"],
+    ["realize"],
+    ["realize", TIMES],
+]
+FAMILY_ARGS = [
+    ["family"],
+    ["family", "--max-level", "14", "--decimal", "8"],
+]
+ALL_ARGS = INSTANCE_ARGS + FAMILY_ARGS
+
+
+def run(command: str, path: Path, extra: list) -> tuple[int, str]:
+    """Run one CLI case in-process; returns (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, "--input", str(path), *extra])
+    return code, out.getvalue()
+
+
+def instance_json(t, minus, plus, coupling) -> dict:
+    return {
+        **serialize.tree_to_json(t),
+        "measures": serialize.measures_to_json(minus, plus),
+        "coupling": serialize.coupling_to_json(coupling),
+    }
+
+
+def generated_instances() -> list[tuple[str, dict]]:
+    """Seeded instances; every tenth one has overlapping supports."""
+    rng = random.Random(SEED)
+    out = []
+    while len(out) < GEN_COUNT:
+        idx = len(out)
+        t = random_tree(rng, max_internal=rng.choice((3, 6, 10, 16)), extra_ends=4)
+        minus, plus = random_measures(rng, t, max_side=6)
+        coupling = random_coupling(rng, minus, plus)
+        data = instance_json(t, minus, plus, coupling)
+        if idx % 10 == 9:
+            shared = sorted(minus.support)[0]
+            data["measures"]["plus"] = {shared: "1"}
+            data["coupling"] = {"atoms": [{"from": shared, "to": shared, "mass": "1"}]}
+        out.append((f"gen_{idx:02d}", data))
+    return out
+
+
+def generated_families() -> list[tuple[str, dict]]:
+    """Explicit spine families, one of them with a zero-mass level."""
+    rng = random.Random(SEED + 1)
+    out = []
+    for idx in range(3):
+        levels = 16
+        masses = [str(Fraction(rng.randint(1, 9), rng.randint(1, 5))) for _ in range(levels)]
+        lengths = [str(Fraction(rng.randint(1, 8), rng.randint(1, 4))) for _ in range(levels)]
+        if idx == 2:
+            masses[5] = "0"
+        out.append(
+            (f"family_{idx}", {"kind": "custom", "masses": masses, "lengths": lengths, "max_level": 12})
+        )
+    return out
+
+
+def corpus() -> list[Path]:
+    return sorted((ROOT / "samples").glob("*.json")) + sorted((HERE / "inputs").glob("*.json"))
+
+
+def main() -> int:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # tests/gen.py iterates frozensets, whose order follows the hash seed.
+        print("capture.py needs PYTHONHASHSEED=0 to reproduce its corpus", file=sys.stderr)
+        return 2
+    inputs_dir = HERE / "inputs"
+    expected_dir = HERE / "expected"
+    inputs_dir.mkdir(exist_ok=True)
+    expected_dir.mkdir(exist_ok=True)
+    for name, data in generated_instances() + generated_families():
+        (inputs_dir / f"{name}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    for path in corpus():
+        cases = []
+        for args in ALL_ARGS:
+            code, stdout = run(args[0], path, args[1:])
+            cases.append({"args": args, "exit": code, "stdout": stdout})
+        record = {"input": path.relative_to(ROOT).as_posix(), "cases": cases}
+        (expected_dir / f"{path.stem}.json").write_text(
+            json.dumps(record, indent=1, sort_keys=True) + "\n"
+        )
+        print(path.name, [case["exit"] for case in cases])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,6 +45,7 @@ from .transport import (
     brute_force_value,
     cost_matrix,
     is_cyclically_monotone,
+    optimal_value,
     solve_optimal_coupling,
     uncross,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "MonotonicityResult",
     "cost_matrix",
     "solve_optimal_coupling",
+    "optimal_value",
     "brute_force_value",
     "is_cyclically_monotone",
     "uncross",

@@ -10,7 +10,6 @@ replacing them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -146,15 +145,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_family(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{args.input}: invalid JSON at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    except OSError as exc:
-        raise ParseError(f"{args.input}: {exc}") from exc
+    data = serialize.load_raw(args.input)
     spec = serialize.parse_family_spec(data)
     max_level = args.max_level if args.max_level is not None else data.get("max_level", 10)
     verdict = family_analyze(spec, int(max_level), args.tolerance)

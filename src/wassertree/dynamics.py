@@ -537,6 +537,7 @@ class GeodesicReport:
 def _snapshot_transport_value(
     t: MetricTree, a: Snapshot, b: Snapshot
 ) -> Fraction:
+    """Exact W2^2 between two snapshots by the transportation simplex."""
     rows = sorted(a.atoms, key=TreePoint.sort_key)
     cols = sorted(b.atoms, key=TreePoint.sort_key)
     costs = []
@@ -562,6 +563,15 @@ def verify_geodesic(plan: DynamicalPlan, t: MetricTree, sample_times) -> Geodesi
     through positive ones); (c) for each sampled pair r < s the exact
     optimal transport cost between the two snapshots under squared tree
     distance equals (s - r)^2.
+
+    Check (c) first tries a two-sided certificate.  The plan's own
+    coupling of the snapshots (every atom to itself) costs
+    ``sum m * d(pos_r, pos_s)^2``, an upper bound.  The time function
+    tau has slope -1, 0 or +1 everywhere, so it is 1-Lipschitz and
+    W2 >= W1 >= |E_s[tau] - E_r[tau]| for the two probability
+    snapshots, a lower bound.  When the bounds meet they are the exact
+    value; only otherwise (as for plans that are not geodesics) is the
+    snapshot transport problem solved exactly.
     """
     times = sorted({Fraction(x) for x in sample_times})
     if len(times) < 2:
@@ -581,13 +591,30 @@ def verify_geodesic(plan: DynamicalPlan, t: MetricTree, sample_times) -> Geodesi
         if ff.end_flow[a.target] <= 0:
             tau_failures.append((idx, ("ray", a.target)))
 
+    tf = build_time_function(t, ff)
+    positions = {r: [a.position(r, t) for a in plan.atoms] for r in times}
     snapshots = {r: snapshot(plan, r, t) for r in times}
+    mean_tau = {
+        r: sum((m * tf.at_point(t, p) for p, m in snapshots[r].atoms.items()), Fraction(0))
+        for r in times
+    }
     speed_checks = []
     speed_ok = True
     for i in range(len(times)):
         for j in range(i + 1, len(times)):
             r, s = times[i], times[j]
-            value = _snapshot_transport_value(t, snapshots[r], snapshots[s])
+            upper = sum(
+                (
+                    a.mass * dist(t, p, q) ** 2
+                    for a, p, q in zip(plan.atoms, positions[r], positions[s])
+                ),
+                Fraction(0),
+            )
+            lower = (mean_tau[s] - mean_tau[r]) ** 2
+            if upper == lower:
+                value = upper
+            else:
+                value = _snapshot_transport_value(t, snapshots[r], snapshots[s])
             expected = (s - r) ** 2
             ok = value == expected
             speed_ok = speed_ok and ok

@@ -27,6 +27,7 @@ __all__ = [
     "check_antipodal",
     "compute_flow_field",
     "specific_flow_second_moment",
+    "subtree_masses",
 ]
 
 POSITIVE = "positive"
@@ -128,6 +129,25 @@ class FlowField:
 
     def edge_class(self, u: str, v: str) -> str:
         return self.classification[_edge_key(u, v)]
+
+
+def subtree_masses(t: MetricTree, measure: BoundaryMeasure) -> dict[str, Fraction]:
+    """Mass of the ends below each vertex, with the base as root.
+
+    Each support end adds its mass to every vertex from its attach
+    vertex up to the base, so only vertices with a charged subtree
+    appear; every other vertex has subtree mass 0.  The flow through the
+    edge from ``parent(y)`` into ``y`` is ``plus`` minus ``minus`` of
+    this quantity at ``y``.
+    """
+    parent = t._root()[0]
+    below: dict[str, Fraction] = {}
+    for end_id, mass in measure.atoms.items():
+        v = t.attach(end_id)
+        while v is not None:
+            below[v] = below.get(v, Fraction(0)) + mass
+            v = parent[v]
+    return below
 
 
 def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> FlowField:

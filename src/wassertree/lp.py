@@ -1,6 +1,11 @@
 """Exact rational solvers for the bipartite transportation problem.
 
-Two algorithmically independent routes are provided:
+On a tree the library computes transport from the edge flows (see
+:mod:`wassertree.transport`), so these general solvers serve as
+differential-test oracles.  The only production caller is the fallback
+of :func:`wassertree.dynamics.verify_geodesic` for snapshot pairs whose
+unit-speed certificate does not close.  Two algorithmically independent
+routes are provided:
 
 * :func:`solve_transportation` is a primal transportation simplex over
   `fractions.Fraction`.  Entering and leaving variables follow Bland's

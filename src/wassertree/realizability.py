@@ -29,7 +29,6 @@ from .flows import (
     compute_flow_field,
     specific_flow_second_moment,
 )
-from .lp import solve_transportation
 from .dynamics import (
     DynamicalPlan,
     GeodesicReport,
@@ -39,7 +38,7 @@ from .dynamics import (
     verify_geodesic,
 )
 from .rationals import parse_fraction
-from .transport import Coupling, cost_matrix, solve_optimal_coupling
+from .transport import Coupling, cost_matrix, optimal_value, solve_optimal_coupling
 from .tree import MetricTree, canonicalize
 
 __all__ = [
@@ -145,13 +144,19 @@ def realize(
 # -- truncated families ------------------------------------------------------
 
 
+def _require_key(data: dict, key: str, what: str):
+    if key not in data:
+        raise StructureError(f"family {what} is missing key {key!r}")
+    return data[key]
+
+
 def _rule_values(rule: dict, count: int, what: str) -> list[Fraction]:
     kind = rule.get("kind")
     if kind == "constant":
-        value = parse_fraction(rule["value"])
+        value = parse_fraction(_require_key(rule, "value", f"{what} rule"))
         return [value] * count
     if kind == "geometric":
-        ratio = parse_fraction(rule["ratio"])
+        ratio = parse_fraction(_require_key(rule, "ratio", f"{what} rule"))
         scale = parse_fraction(rule.get("scale", 1))
         out = []
         current = ratio
@@ -160,7 +165,7 @@ def _rule_values(rule: dict, count: int, what: str) -> list[Fraction]:
             current *= ratio
         return out
     if kind == "explicit":
-        values = [parse_fraction(v) for v in rule["values"]]
+        values = [parse_fraction(v) for v in _require_key(rule, "values", f"{what} rule")]
         if len(values) < count:
             raise StructureError(
                 f"family {what} list has {len(values)} entries, level {count} requested"
@@ -187,15 +192,21 @@ class FamilySpec:
     @staticmethod
     def from_json(data: dict) -> "FamilySpec":
         kind = data.get("kind")
+        if kind not in ("spine", "custom"):
+            raise StructureError(f"unknown family kind {kind!r}")
+        masses = _require_key(data, "masses", "spec")
+        lengths = _require_key(data, "lengths", "spec")
         if kind == "spine":
-            return FamilySpec(kind="spine", masses=dict(data["masses"]), lengths=dict(data["lengths"]))
-        if kind == "custom":
-            return FamilySpec(
-                kind="spine",
-                masses={"kind": "explicit", "values": list(data["masses"])},
-                lengths={"kind": "explicit", "values": list(data["lengths"])},
-            )
-        raise StructureError(f"unknown family kind {kind!r}")
+            if not isinstance(masses, dict) or not isinstance(lengths, dict):
+                raise StructureError("spine family masses and lengths must be rule objects")
+            return FamilySpec(kind="spine", masses=dict(masses), lengths=dict(lengths))
+        if not isinstance(masses, list) or not isinstance(lengths, list):
+            raise StructureError("custom family masses and lengths must be lists")
+        return FamilySpec(
+            kind="spine",
+            masses={"kind": "explicit", "values": list(masses)},
+            lengths={"kind": "explicit", "values": list(lengths)},
+        )
 
     def level_data(self, level: int) -> tuple[list[Fraction], list[Fraction]]:
         masses = _rule_values(self.masses, level, "masses")
@@ -273,14 +284,9 @@ def family_analyze(spec: FamilySpec, max_level: int, tolerance) -> FamilyVerdict
             raise StructureError(f"level {level}: {exc}") from exc
         ff = compute_flow_field(tree, minus, plus)
         moment_sums.append(specific_flow_second_moment(tree, ff))
-        cm = cost_matrix(tree, minus, plus)
-        # Only the optimal value is reported per level, so the plain
-        # solver (no vertex tie-break) is enough and much faster here.
-        supplies = [minus.mass(a) for a in cm.rows]
-        demands = [plus.mass(b) for b in cm.cols]
-        costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
-        _, value = solve_transportation(costs, supplies, demands)
-        lp_values.append(value)
+        # Only the optimal value is reported per level: the closed form
+        # needs neither a cost matrix nor a coupling.
+        lp_values.append(optimal_value(tree, minus, plus))
 
     increments = [moment_sums[0]]
     for i in range(1, len(moment_sums)):

@@ -89,6 +89,8 @@ def parse_tree(data: dict) -> MetricTree:
 
 def parse_measures(data: dict) -> tuple[BoundaryMeasure, BoundaryMeasure]:
     _expect(isinstance(data, dict) and {"minus", "plus"} <= set(data), "measures need minus and plus")
+    for side in ("minus", "plus"):
+        _expect(isinstance(data[side], dict), f"measure {side!r} must map end ids to masses")
     minus = BoundaryMeasure({_id(k): parse_fraction(v) for k, v in data["minus"].items()})
     plus = BoundaryMeasure({_id(k): parse_fraction(v) for k, v in data["plus"].items()})
     return minus, plus

@@ -5,22 +5,30 @@ the squared Gromov product (squared distance from the base vertex to
 the geodesic joining the two ends).  Antipodality keeps the diagonal,
 where the product is infinite, out of every instance.
 
-Besides the exact solver this module carries an independent value
-oracle, an exhaustive cyclical-monotonicity test, and the uncrossing
-rewrite that removes opposite traversals edge by edge without ever
-increasing the objective.
+On a tree this problem needs no general solver.  A coupling is optimal
+exactly when every pair rides only edge orientations that carry
+positive flow, and then it puts exactly the flow on each of them.  So
+the optimal coupling is a greedy walk capped by the residual edge
+flows (:func:`solve_optimal_coupling`), and the optimal value is a
+closed form in the subtree masses (:func:`optimal_value`).
+
+The module also carries an independent value oracle
+(:func:`brute_force_value`, successive shortest paths in
+:mod:`wassertree.lp`), an exhaustive cyclical-monotonicity test, and the
+uncrossing rewrite that removes opposite traversals edge by edge without
+ever increasing the objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Optional, Union
 
 from .errors import DomainError, OversizeError
-from .flows import BoundaryMeasure, check_antipodal
-from .lp import min_cost_transport_value, solve_transportation
+from .flows import BoundaryMeasure, check_antipodal, subtree_masses
+from .lp import min_cost_transport_value
 from .rationals import parse_fraction
 from .tree import MetricTree, gromov_product
 
@@ -30,6 +38,7 @@ __all__ = [
     "MonotonicityResult",
     "cost_matrix",
     "solve_optimal_coupling",
+    "optimal_value",
     "brute_force_value",
     "is_cyclically_monotone",
     "uncross",
@@ -48,11 +57,16 @@ ORACLE_SUPPORT_CAP = 7
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Minus squared Gromov product on source-support x target-support."""
+    """Minus squared Gromov product on source-support x target-support.
+
+    ``tree`` is the tree the table was built from; the transport solver
+    reads the edge flows from it.
+    """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     values: Mapping[tuple[str, str], Fraction]
+    tree: Optional[MetricTree] = field(default=None, compare=False, repr=False)
 
     def cost(self, a: str, b: str) -> Fraction:
         return self.values[(a, b)]
@@ -95,12 +109,6 @@ class Coupling:
         return f"Coupling({{{inner}}})"
 
 
-def _require_feasible(pi: Coupling, minus: BoundaryMeasure, plus: BoundaryMeasure) -> None:
-    left, right = pi.marginals()
-    if left != minus or right != plus:
-        raise DomainError("coupling marginals do not match the prescribed measures")
-
-
 def cost_matrix(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> CostMatrix:
     """Build the cost table over the two supports."""
     if not check_antipodal(t, minus, plus):
@@ -112,7 +120,27 @@ def cost_matrix(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) ->
         for b in cols:
             g = gromov_product(t, a, b)
             values[(a, b)] = -g * g
-    return CostMatrix(rows=rows, cols=cols, values=values)
+    return CostMatrix(rows=rows, cols=cols, values=values, tree=t)
+
+
+def _path_steps(t: MetricTree, u: str, v: str) -> list[tuple[str, int]]:
+    """Edges of the vertex path from ``u`` to ``v``, keyed by child.
+
+    Each step is ``(child, sign)``: sign -1 for an edge climbed from the
+    child to its parent, +1 for one descended into the child.  The flow
+    through the step in the path's direction is ``sign`` times the flow
+    from the parent into the child.
+    """
+    parent, _, depth, _ = t._root()
+    steps = []
+    while u != v:
+        if depth[u] >= depth[v]:
+            steps.append((u, -1))
+            u = parent[u]
+        else:
+            steps.append((v, 1))
+            v = parent[v]
+    return steps
 
 
 def solve_optimal_coupling(
@@ -120,29 +148,91 @@ def solve_optimal_coupling(
 ) -> tuple[Coupling, Fraction]:
     """Exact minimizer over the transport polytope, plus its value.
 
-    The result is always a vertex (at most m+n-1 atoms).  Ties between
-    optimal vertices are broken deterministically: the returned vertex
-    lexicographically maximizes its mass vector read in (source id,
-    target id) order.
+    Flow-capped greedy: cells are visited in (source id, target id)
+    row-major order, and each gets the largest mass the residual supply,
+    the residual demand and the residual flow on every edge of its path
+    (in the path's direction) allow; that mass is then subtracted along
+    the path.  The residual flows are the flows of the residual
+    measures, so the greedy never dead-ends, and every pair it loads
+    rides positive flow only, which makes the coupling optimal.  Each
+    cell gets the most any optimal coupling extending the earlier cells
+    can give it, so the result is the optimal coupling whose mass
+    vector, read in that order, is lexicographically greatest.  It is a
+    vertex of the polytope (at most m+n-1 atoms), the same one the
+    lexicographically perturbed simplex in :mod:`wassertree.lp` returns.
+
+    ``cm`` must come from :func:`cost_matrix`, which records the tree.
     """
     if minus.support != set(cm.rows) or plus.support != set(cm.cols):
         raise DomainError("cost matrix does not cover the measure supports")
-    supplies = [minus.mass(a) for a in cm.rows]
-    demands = [plus.mass(b) for b in cm.cols]
-    costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
-    masses, value = solve_transportation(costs, supplies, demands, lex_tiebreak=True)
-    atoms = {(cm.rows[i], cm.cols[j]): q for (i, j), q in masses.items()}
-    return Coupling(atoms), value
+    t = cm.tree
+    if t is None:
+        raise DomainError("cost matrix carries no tree; build it with cost_matrix")
+    below_minus = subtree_masses(t, minus)
+    below_plus = subtree_masses(t, plus)
+    # residual[y]: remaining flow from parent(y) into y.
+    residual = {
+        y: below_plus.get(y, Fraction(0)) - below_minus.get(y, Fraction(0))
+        for y in below_minus.keys() | below_plus.keys()
+    }
+    supply = dict(minus.atoms)
+    demand = dict(plus.atoms)
+    atoms: dict[tuple[str, str], Fraction] = {}
+    for a in cm.rows:
+        for b in cm.cols:
+            q = min(supply[a], demand[b])
+            if q == 0:
+                continue
+            steps = _path_steps(t, t.attach(a), t.attach(b))
+            for y, sign in steps:
+                q = min(q, sign * residual[y])
+            if q <= 0:
+                continue
+            for y, sign in steps:
+                residual[y] -= sign * q
+            supply[a] -= q
+            demand[b] -= q
+            atoms[(a, b)] = q
+    if any(supply.values()):
+        raise DomainError("flow-capped greedy left supply unplaced")
+    coupling = Coupling(atoms)
+    return coupling, coupling.value(cm)
+
+
+def optimal_value(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> Fraction:
+    """Optimal transport value in closed form, without a cost matrix.
+
+    The squared Gromov product of a pair telescopes into
+    ``d(y)^2 - d(parent y)^2`` over the vertices ``y`` above the meet
+    of its ends (base excluded), so a coupling costs minus the sum over
+    ``y`` of that increment times the mass of pairs with both ends below
+    ``y``.  That mass is at most ``min(minus(T_y), plus(T_y))``, and an
+    optimal coupling attains every such bound at once, hence::
+
+        value = -sum_{y != base} min(minus(T_y), plus(T_y)) * (d(y)^2 - d(parent y)^2)
+    """
+    if not check_antipodal(t, minus, plus):
+        raise DomainError("measures are not antipodal (supports intersect)")
+    parent, _, depth, _ = t._root()
+    below_plus = subtree_masses(t, plus)
+    total = Fraction(0)
+    for y, mass in subtree_masses(t, minus).items():
+        p = parent[y]
+        shared = min(mass, below_plus.get(y, Fraction(0)))
+        if p is not None and shared:
+            total += shared * (depth[y] * depth[y] - depth[p] * depth[p])
+    return -total
 
 
 def brute_force_value(
     cm: CostMatrix, minus: BoundaryMeasure, plus: BoundaryMeasure
 ) -> Fraction:
-    """Independent exact optimum, for checking the simplex route.
+    """Independent exact optimum, a test oracle for the tree-native routes.
 
-    Computed by successive shortest augmenting paths, a different
-    algorithm family from the primal simplex used by
-    :func:`solve_optimal_coupling`.  Refuses supports larger than
+    Computed by successive shortest augmenting paths over the cost
+    table, sharing nothing with the flow-capped greedy of
+    :func:`solve_optimal_coupling` or the closed form of
+    :func:`optimal_value`.  Refuses supports larger than
     ORACLE_SUPPORT_CAP per side.
     """
     if len(minus.support) > ORACLE_SUPPORT_CAP or len(plus.support) > ORACLE_SUPPORT_CAP:

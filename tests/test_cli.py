@@ -197,6 +197,51 @@ def test_family_verdicts():
     assert out2["max_level"] == 16
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_measure_given_as_list_exit_3(tmp_path, command):
+    payload = dict(CATERPILLAR)
+    payload["measures"] = {"minus": [1], "plus": {"B": "1"}}
+    path = write(tmp_path, "listmeasure.json", payload)
+    result = run_cli(command, "--input", path)
+    assert result.returncode == 3
+    assert "parse error" in result.stderr and "'minus'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+CONSTANT_RULE = {"kind": "constant", "value": "1"}
+
+
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [
+        ({"kind": "spine", "lengths": CONSTANT_RULE}, "'masses'"),
+        ({"kind": "spine", "masses": CONSTANT_RULE}, "'lengths'"),
+        ({"kind": "custom", "masses": ["1", "1"]}, "'lengths'"),
+        ({"kind": "spine", "masses": {"kind": "constant"}, "lengths": CONSTANT_RULE}, "'value'"),
+        ({"kind": "spine", "masses": ["1"], "lengths": CONSTANT_RULE}, "rule objects"),
+        ({"kind": "custom", "masses": {"a": 1}, "lengths": ["1"]}, "must be lists"),
+    ],
+)
+def test_family_spec_malformed_exit_2(tmp_path, spec, fragment):
+    path = write(tmp_path, "family.json", spec)
+    result = run_cli("family", "--input", path)
+    assert result.returncode == 2
+    assert "invalid instance" in result.stderr and fragment in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_family_bad_json_message_unchanged(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"kind": "spine",')
+    result = run_cli("family", "--input", str(path))
+    assert result.returncode == 3
+    assert f"parse error: {path}: invalid JSON at line 1 column" in result.stderr
+    missing = tmp_path / "absent.json"
+    result = run_cli("family", "--input", str(missing))
+    assert result.returncode == 3
+    assert f"parse error: {missing}: " in result.stderr
+
+
 def test_output_flag_writes_file(tmp_path):
     path = write(tmp_path, "cat.json", CATERPILLAR)
     out_path = tmp_path / "report.json"

@@ -8,10 +8,12 @@ from fractions import Fraction
 from wassertree import BoundaryMeasure, Coupling, MetricTree
 
 
-def random_tree(rng: random.Random, max_internal: int = 4, extra_ends: int = 4) -> MetricTree:
+def random_tree(
+    rng: random.Random, max_internal: int = 4, extra_ends: int = 4, min_internal: int = 1
+) -> MetricTree:
     """A random canonical tree: random backbone, ends padding every
     vertex up to degree 3, plus a few extra ends."""
-    n = rng.randint(1, max_internal)
+    n = rng.randint(min_internal, max_internal)
     vertices = [f"v{i}" for i in range(n)]
     edges = []
     for i in range(1, n):

@@ -8,7 +8,11 @@ The corpus is ``samples/`` plus seeded instances built with
 ``tests/gen.py``, which are written to ``tests/golden/inputs/``.  Every
 subcommand runs on every input (including the ones that must fail, so
 the exit-code contract is pinned as well), and one file per input under
-``tests/golden/expected/`` records the cases.  ``tests/test_golden.py``
+``tests/golden/expected/`` records the cases.  A few deep cases run only
+the subcommands named in ``deep_cases()``: ``flows`` on a 200-level
+spine, ``solve`` and ``realize`` on two 400-vertex trees, and
+``family --max-level 60`` on both spine samples; each gets its own
+``deep_*`` record.  ``tests/test_golden.py``
 replays them.  Re-capturing is a deliberate golden update: review the
 diff and record it in CHANGES.md.
 """
@@ -31,6 +35,7 @@ sys.path.insert(0, str(HERE.parent))
 from gen import random_coupling, random_measures, random_tree  # noqa: E402
 
 from wassertree import cli, serialize  # noqa: E402
+from wassertree.realizability import spine_truncation  # noqa: E402
 
 SEED = 20261017
 GEN_COUNT = 50
@@ -103,8 +108,47 @@ def generated_families() -> list[tuple[str, dict]]:
     return out
 
 
-def corpus() -> list[Path]:
-    return sorted((ROOT / "samples").glob("*.json")) + sorted((HERE / "inputs").glob("*.json"))
+DEEP_SPINE_LEVELS = 200
+DEEP_TREE_VERTICES = 400
+DEEP_FAMILY_LEVEL = "60"
+
+
+def deep_instances() -> list[tuple[str, dict]]:
+    """A harmonic 200-level spine and two seeded 400-vertex trees."""
+    levels = range(1, DEEP_SPINE_LEVELS + 1)
+    masses = [Fraction(1, k) for k in levels]
+    lengths = [Fraction(k % 3 + 1, 2) for k in levels]
+    instances = [("deep_spine_200", spine_truncation(masses, lengths))]
+    rng = random.Random(SEED + 2)
+    for idx in range(2):
+        n = DEEP_TREE_VERTICES
+        t = random_tree(rng, max_internal=n, extra_ends=40, min_internal=n)
+        instances.append((f"deep_tree_{idx}", (t, *random_measures(rng, t, max_side=30))))
+    return [
+        (name, {**serialize.tree_to_json(t), "measures": serialize.measures_to_json(minus, plus)})
+        for name, (t, minus, plus) in instances
+    ]
+
+
+def deep_cases() -> list[tuple[str, Path, list]]:
+    """(record name, input, argument lists) of the deep cases."""
+    inputs = HERE / "inputs"
+    family = [["family", "--max-level", DEEP_FAMILY_LEVEL]]
+    return [
+        ("deep_spine_200", inputs / "deep_spine_200.json", [["flows"]]),
+        ("deep_tree_0", inputs / "deep_tree_0.json", [["solve"], ["realize"]]),
+        ("deep_tree_1", inputs / "deep_tree_1.json", [["solve"], ["realize"]]),
+        ("deep_family_spine_constant", ROOT / "samples" / "spine_constant.json", family),
+        ("deep_family_spine_geometric", ROOT / "samples" / "spine_geometric.json", family),
+    ]
+
+
+def corpus() -> list[tuple[str, Path, list]]:
+    """(record name, input, argument lists) of every golden case."""
+    paths = sorted((ROOT / "samples").glob("*.json")) + sorted(
+        p for p in (HERE / "inputs").glob("*.json") if not p.stem.startswith("deep_")
+    )
+    return [(p.stem, p, ALL_ARGS) for p in paths] + deep_cases()
 
 
 def main() -> int:
@@ -116,18 +160,18 @@ def main() -> int:
     expected_dir = HERE / "expected"
     inputs_dir.mkdir(exist_ok=True)
     expected_dir.mkdir(exist_ok=True)
-    for name, data in generated_instances() + generated_families():
+    for name, data in generated_instances() + generated_families() + deep_instances():
         (inputs_dir / f"{name}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    for path in corpus():
+    for name, path, arg_lists in corpus():
         cases = []
-        for args in ALL_ARGS:
+        for args in arg_lists:
             code, stdout = run(args[0], path, args[1:])
             cases.append({"args": args, "exit": code, "stdout": stdout})
         record = {"input": path.relative_to(ROOT).as_posix(), "cases": cases}
-        (expected_dir / f"{path.stem}.json").write_text(
+        (expected_dir / f"{name}.json").write_text(
             json.dumps(record, indent=1, sort_keys=True) + "\n"
         )
-        print(path.name, [case["exit"] for case in cases])
+        print(name, [case["exit"] for case in cases])
     return 0
 
 

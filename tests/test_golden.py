@@ -17,8 +17,10 @@ EXPECTED = sorted((Path(__file__).parent / "golden" / "expected").glob("*.json")
 
 
 def test_golden_corpus_present():
-    # samples/ plus 50 generated instances and 3 explicit families.
-    assert len(EXPECTED) >= 58
+    # samples/ plus 50 generated instances, 3 explicit families and the
+    # five deep records.
+    assert len(EXPECTED) >= 63
+    assert len([p for p in EXPECTED if p.stem.startswith("deep_")]) == 5
 
 
 @pytest.mark.parametrize("record_path", EXPECTED, ids=lambda p: p.stem)

@@ -144,11 +144,21 @@ def cmd_realize(args) -> int:
     return EXIT_OK if report.verdict == "realizable" else EXIT_DOMAIN
 
 
+def _spec_max_level(data: dict) -> int:
+    """The spec's ``max_level``: a JSON integer (an integral number)."""
+    value = data.get("max_level", 10)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructureError(f"family spec key 'max_level' must be an integer, got {value!r}")
+    return value
+
+
 def cmd_family(args) -> int:
     data = serialize.load_raw(args.input)
     spec = serialize.parse_family_spec(data)
-    max_level = args.max_level if args.max_level is not None else data.get("max_level", 10)
-    verdict = family_analyze(spec, int(max_level), args.tolerance)
+    max_level = args.max_level if args.max_level is not None else _spec_max_level(data)
+    verdict = family_analyze(spec, max_level, args.tolerance)
     out = serialize.family_verdict_to_json(verdict, decimal=args.decimal)
     _write_output(serialize.dumps(out), args.output)
     return EXIT_OK

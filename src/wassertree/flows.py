@@ -34,6 +34,8 @@ POSITIVE = "positive"
 NEUTRAL = "neutral"
 NEGATIVE = "negative"
 
+_ZERO = Fraction(0)
+
 
 class BoundaryMeasure:
     """A finitely supported probability measure on the ends.
@@ -131,76 +133,107 @@ class FlowField:
         return self.classification[_edge_key(u, v)]
 
 
-def subtree_masses(t: MetricTree, measure: BoundaryMeasure) -> dict[str, Fraction]:
-    """Mass of the ends below each vertex, with the base as root.
+def _below_sums(t: MetricTree, charges) -> dict[str, Fraction]:
+    """Sparse bottom-up sums of end charges over the rooted tree.
 
-    Each support end adds its mass to every vertex from its attach
-    vertex up to the base, so only vertices with a charged subtree
-    appear; every other vertex has subtree mass 0.  The flow through the
-    edge from ``parent(y)`` into ``y`` is ``plus`` minus ``minus`` of
-    this quantity at ``y``.
+    ``charges`` yields ``(end id, signed mass)`` pairs.  Each charge is
+    seeded at its end's attach vertex; one walk over the preorder
+    backwards then adds every seeded vertex into its parent.  Only
+    vertices with a charged subtree get a key (the base included).
     """
-    parent = t._root()[0]
+    index = t._root()
     below: dict[str, Fraction] = {}
-    for end_id, mass in measure.atoms.items():
+    for end_id, mass in charges:
         v = t.attach(end_id)
-        while v is not None:
-            below[v] = below.get(v, Fraction(0)) + mass
-            v = parent[v]
+        below[v] = below[v] + mass if v in below else mass
+    parent = index.parent
+    for v in reversed(index.order):
+        if v in below:
+            p = parent[v]
+            if p is not None:
+                below[p] = below[p] + below[v] if p in below else below[v]
     return below
 
 
+def subtree_masses(t: MetricTree, measure: BoundaryMeasure) -> dict[str, Fraction]:
+    """Mass of the ends below each vertex, with the base as root.
+
+    One sparse post-order pass over the rooted index: each support end
+    seeds its attach vertex, and walking the preorder backwards adds a
+    vertex into its parent only where a mass exists.  So only vertices
+    with a charged subtree appear; every other vertex has subtree mass
+    0.  The flow through the edge from ``parent(y)`` into ``y`` is
+    ``plus`` minus ``minus`` of this quantity at ``y``.
+    """
+    return _below_sums(t, measure.atoms.items())
+
+
 def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> FlowField:
-    """Evaluate the signed measure (plus - minus) on every edge future."""
+    """Evaluate the signed measure (plus - minus) on every edge future.
+
+    The net mass ``below[y] = (plus - minus)(T_y)`` of every subtree
+    comes from one sparse bottom-up pass (see :func:`subtree_masses`);
+    it is the flow from ``parent(y)`` into ``y``.  A vertex's positive
+    out-flow is the sum of its children's positive ``below``, of
+    ``-below[x]`` when that is positive (the edge toward the base) and
+    of its ``plus`` end atoms; its specific flow drops ``|below[x]|``,
+    the flow on the edge toward the base, except at the base itself.
+    Edges, ends and vertices outside every charged subtree share one
+    zero and are classified neutral without arithmetic.
+    """
     t.require_valid()
     if not check_antipodal(t, minus, plus):
         raise DomainError("measures are not antipodal (supports intersect)")
 
-    parent = t._root()[0]
-
-    def net(ends) -> Fraction:
-        return plus.mass_of(ends) - minus.mass_of(ends)
+    parent = t._root().parent
+    below = _below_sums(
+        t, [*plus.atoms.items(), *((e, -m) for e, m in minus.atoms.items())]
+    )
 
     edge_flow: dict[tuple[str, str], Fraction] = {}
     classification: dict[tuple[str, str], str] = {}
     for u, v, _length in t.edges:
         child = v if parent[v] == u else u
-        toward_child = net(t.subtree_ends(child))
+        toward_child = below.get(child)
+        if not toward_child:
+            edge_flow[(u, v)] = _ZERO
+            classification[(u, v)] = NEUTRAL
+            continue
         value = toward_child if child == v else -toward_child
         edge_flow[(u, v)] = value
-        classification[(u, v)] = POSITIVE if value > 0 else NEGATIVE if value < 0 else NEUTRAL
+        classification[(u, v)] = POSITIVE if value > 0 else NEGATIVE
 
-    end_flow: dict[str, Fraction] = {e: net({e}) for e in t.ends}
+    end_flow: dict[str, Fraction] = {}
+    for e in t.ends:
+        if e in plus.atoms:
+            end_flow[e] = plus.atoms[e]
+        elif e in minus.atoms:
+            end_flow[e] = -minus.atoms[e]
+        else:
+            end_flow[e] = _ZERO
 
-    ff = FlowField(
-        tree=t,
-        minus=minus,
-        plus=plus,
-        edge_flow=edge_flow,
-        end_flow=end_flow,
-        vertex_flow={},
-        specific_flow={},
-        classification=classification,
-    )
+    out: dict[str, Fraction] = {}
+    for y, net in below.items():
+        if net > 0:
+            p = parent[y]
+            if p is not None:
+                out[p] = out[p] + net if p in out else net
+        elif net < 0:
+            out[y] = out[y] - net if y in out else -net
+    for e, mass in plus.atoms.items():
+        x = t.attach(e)
+        out[x] = out[x] + mass if x in out else mass
 
     vertex_flow: dict[str, Fraction] = {}
     specific_flow: dict[str, Fraction] = {}
     for x in t.vertices:
-        out_flows = [ff.flow(x, w) for w, _ in t.adjacency[x]]
-        out_flows += [end_flow[e] for e in t.vertex_ends[x]]
-        total = sum((f for f in out_flows if f > 0), Fraction(0))
+        total = out.get(x, _ZERO)
         vertex_flow[x] = total
-        p = parent[x]
-        if p is None:
-            specific_flow[x] = total
+        net = below.get(x)
+        if net and parent[x] is not None:
+            specific_flow[x] = total - abs(net)
         else:
-            toward_base = ff.flow(x, p)
-            if toward_base > 0:
-                specific_flow[x] = total - toward_base
-            elif toward_base < 0:
-                specific_flow[x] = total + toward_base
-            else:
-                specific_flow[x] = total
+            specific_flow[x] = total
 
     return FlowField(
         tree=t,
@@ -216,8 +249,11 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
 
 def specific_flow_second_moment(t: MetricTree, ff: FlowField) -> Fraction:
     """Sum over vertices of specific flow times squared base distance."""
+    depth = t._root().depth
     total = Fraction(0)
     for x in t.vertices:
-        d = t.depth(x)
-        total += ff.specific_flow[x] * d * d
+        flow = ff.specific_flow[x]
+        if flow:
+            d = depth[x]
+            total += flow * d * d
     return total

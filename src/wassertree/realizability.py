@@ -165,7 +165,10 @@ def _rule_values(rule: dict, count: int, what: str) -> list[Fraction]:
             current *= ratio
         return out
     if kind == "explicit":
-        values = [parse_fraction(v) for v in _require_key(rule, "values", f"{what} rule")]
+        raw = _require_key(rule, "values", f"{what} rule")
+        if not isinstance(raw, list):
+            raise StructureError(f"family {what} rule key 'values' must be a list")
+        values = [parse_fraction(v) for v in raw]
         if len(values) < count:
             raise StructureError(
                 f"family {what} list has {len(values)} entries, level {count} requested"

@@ -98,6 +98,7 @@ def parse_measures(data: dict) -> tuple[BoundaryMeasure, BoundaryMeasure]:
 
 def parse_coupling(data: dict) -> Coupling:
     _expect(isinstance(data, dict) and "atoms" in data, "coupling needs an atoms list")
+    _expect(isinstance(data["atoms"], list), "coupling 'atoms' must be a list")
     atoms = {}
     for item in data["atoms"]:
         _expect(

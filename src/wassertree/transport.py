@@ -131,10 +131,11 @@ def _path_steps(t: MetricTree, u: str, v: str) -> list[tuple[str, int]]:
     through the step in the path's direction is ``sign`` times the flow
     from the parent into the child.
     """
-    parent, _, depth, _ = t._root()
+    index = t._root()
+    parent, level = index.parent, index.level
     steps = []
     while u != v:
-        if depth[u] >= depth[v]:
+        if level[u] >= level[v]:
             steps.append((u, -1))
             u = parent[u]
         else:
@@ -213,7 +214,8 @@ def optimal_value(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) 
     """
     if not check_antipodal(t, minus, plus):
         raise DomainError("measures are not antipodal (supports intersect)")
-    parent, _, depth, _ = t._root()
+    index = t._root()
+    parent, depth = index.parent, index.depth
     below_plus = subtree_masses(t, plus)
     total = Fraction(0)
     for y, mass in subtree_masses(t, minus).items():
@@ -321,7 +323,8 @@ def uncross(pi: Coupling, t: MetricTree) -> Coupling:
     if minus.support & plus.support:
         raise DomainError("coupling marginals are not antipodal")
 
-    parent = t._root()[0]
+    index = t._root()
+    parent = index.parent
 
     def order_key(edge):
         u, v, length = edge
@@ -331,12 +334,12 @@ def uncross(pi: Coupling, t: MetricTree) -> Coupling:
     atoms = dict(pi.atoms)
     for u, v, _length in sorted(t.edges, key=order_key):
         child = v if parent[v] == u else u
-        below = t.subtree_ends(child)
         forward = []  # crossing toward the child side
         backward = []
         for pair in sorted(atoms):
             a, b = pair
-            a_in, b_in = a in below, b in below
+            a_in = index.below(t.attach(a), child)
+            b_in = index.below(t.attach(b), child)
             if a_in == b_in:
                 continue
             (forward if b_in else backward).append(pair)

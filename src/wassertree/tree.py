@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, StructureError
 from .rationals import INFINITY, parse_fraction
@@ -120,51 +120,37 @@ class MetricTree:
 
     # -- rooted structure (base as root) -----------------------------------
 
-    def _root(self):
+    def _root(self) -> "RootedIndex":
         if self._rooted is None:
             self.require_valid()
-            parent: dict[str, Optional[str]] = {self.base: None}
-            parent_len: dict[str, Fraction] = {}
-            depth: dict[str, Fraction] = {self.base: Fraction(0)}
-            order = [self.base]
-            stack = [self.base]
-            while stack:
-                v = stack.pop()
-                for w, length in self.adjacency[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        parent_len[w] = length
-                        depth[w] = depth[v] + length
-                        order.append(w)
-                        stack.append(w)
-            subtree_ends: dict[str, frozenset[str]] = {}
-            for v in reversed(order):
-                acc = set(self.vertex_ends[v])
-                for w, _ in self.adjacency[v]:
-                    if parent.get(w) == v:
-                        acc.update(subtree_ends[w])
-                subtree_ends[v] = frozenset(acc)
-            self._rooted = (parent, parent_len, depth, subtree_ends)
+            self._rooted = _build_index(self)
         return self._rooted
 
     def parent(self, v: str) -> Optional[str]:
-        return self._root()[0][v]
+        return self._root().parent[v]
 
     def depth(self, v: str) -> Fraction:
         """Exact distance from the base vertex."""
-        return self._root()[2][v]
+        return self._root().depth[v]
 
     def subtree_ends(self, v: str) -> frozenset[str]:
-        """Ends lying in the subtree rooted at ``v`` (base as root)."""
-        return self._root()[3][v]
+        """Ends lying in the subtree rooted at ``v`` (base as root).
+
+        Read on demand from the preorder interval of ``v``, in time
+        linear in the subtree; no per-vertex end sets are kept.
+        """
+        index = self._root()
+        below = index.order[index.pos[v] : index.stop[v]]
+        return frozenset(e for w in below for e in self.vertex_ends[w])
 
     def vertex_path(self, u: str, v: str) -> tuple[str, ...]:
         """The unique vertex chain from ``u`` to ``v``."""
-        parent, _, depth, _ = self._root()
+        index = self._root()
+        parent, level = index.parent, index.level
         up, down = [], []
         a, b = u, v
         while a != b:
-            if depth[a] >= depth[b]:
+            if level[a] >= level[b]:
                 up.append(a)
                 a = parent[a]
             else:
@@ -174,18 +160,71 @@ class MetricTree:
 
     def meet(self, u: str, v: str) -> str:
         """Lowest common ancestor of two vertices with the base as root."""
-        parent, _, depth, _ = self._root()
+        index = self._root()
+        parent, level = index.parent, index.level
         a, b = u, v
         while a != b:
-            if depth[a] >= depth[b]:
+            if level[a] >= level[b]:
                 a = parent[a]
             else:
                 b = parent[b]
         return a
 
     def vertex_distance(self, u: str, v: str) -> Fraction:
-        depth = self._root()[2]
+        depth = self._root().depth
         return depth[u] + depth[v] - 2 * depth[self.meet(u, v)]
+
+
+class RootedIndex(NamedTuple):
+    """The tree rooted at its base, built once per tree.
+
+    ``order`` lists the vertices in preorder, so a vertex precedes its
+    descendants and walking it backwards visits children before their
+    parent (one bottom-up pass).  The subtree of ``v`` is the slice
+    ``order[pos[v]:stop[v]]``, so "``w`` lies below ``v``" is the
+    interval test ``pos[v] <= pos[w] < stop[v]``.  ``level`` counts the
+    edges up to the base; climbing by level needs no rational compare.
+    """
+
+    parent: dict[str, Optional[str]]
+    parent_len: dict[str, Fraction]
+    depth: dict[str, Fraction]
+    level: dict[str, int]
+    order: tuple[str, ...]
+    pos: dict[str, int]
+    stop: dict[str, int]
+
+    def below(self, w: str, v: str) -> bool:
+        """True iff vertex ``w`` lies in the subtree rooted at ``v``."""
+        return self.pos[v] <= self.pos[w] < self.stop[v]
+
+
+def _build_index(t: MetricTree) -> RootedIndex:
+    parent: dict[str, Optional[str]] = {t.base: None}
+    parent_len: dict[str, Fraction] = {}
+    depth: dict[str, Fraction] = {t.base: Fraction(0)}
+    level: dict[str, int] = {t.base: 0}
+    order: list[str] = []
+    stack = [t.base]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w, length in reversed(t.adjacency[v]):
+            if w not in parent:
+                parent[w] = v
+                parent_len[w] = length
+                depth[w] = depth[v] + length
+                level[w] = level[v] + 1
+                stack.append(w)
+    pos = {v: i for i, v in enumerate(order)}
+    stop = dict.fromkeys(order, len(order))
+    # A subtree ends where the next vertex at its level or above starts.
+    open_: list[str] = []
+    for i, v in enumerate(order):
+        while open_ and level[open_[-1]] >= level[v]:
+            stop[open_.pop()] = i
+        open_.append(v)
+    return RootedIndex(parent, parent_len, depth, level, tuple(order), pos, stop)
 
 
 @dataclass(frozen=True)
@@ -299,39 +338,36 @@ def canonicalize(t: MetricTree) -> MetricTree:
             raise StructureError("not acyclic")
 
     end_attach = dict(t.ends)
-    ends_at = {v: [e for e, a in end_attach.items() if a == v] for v in t.vertices}
+    ends_at: dict[str, list[str]] = {v: [] for v in t.vertices}
+    for e, a in end_attach.items():
+        if a in ends_at:
+            ends_at[a].append(e)
 
-    def degree(v):
-        return len(adjacency[v]) + len(ends_at[v])
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adjacency):
-            if v == t.base or degree(v) != 2:
-                continue
-            neighbors = sorted(adjacency[v])
-            local_ends = sorted(ends_at[v])
-            if len(neighbors) == 2:
-                a, b = neighbors
-                length = adjacency[v][a] + adjacency[v][b]
-                del adjacency[a][v]
-                del adjacency[b][v]
-                adjacency[a][b] = length
-                adjacency[b][a] = length
-            elif len(neighbors) == 1 and len(local_ends) == 1:
-                a = neighbors[0]
-                del adjacency[a][v]
-                end_attach[local_ends[0]] = a
-                ends_at[a].append(local_ends[0])
-            else:
-                # Two end-edges at a non-base vertex would disconnect the
-                # finite part; unreachable for valid inputs.
-                raise StructureError(f"cannot suppress vertex {v!r}")
-            del adjacency[v]
-            del ends_at[v]
-            changed = True
-            break
+    # Suppressing a vertex leaves every other degree unchanged (its
+    # neighbours trade it for each other, or for its end), so the
+    # vertices to suppress are known up front: one pass removes them all.
+    worklist = [v for v in t.vertices if v != t.base and len(adjacency[v]) + len(ends_at[v]) == 2]
+    for v in worklist:
+        neighbors = sorted(adjacency[v])
+        local_ends = sorted(ends_at[v])
+        if len(neighbors) == 2:
+            a, b = neighbors
+            length = adjacency[v][a] + adjacency[v][b]
+            del adjacency[a][v]
+            del adjacency[b][v]
+            adjacency[a][b] = length
+            adjacency[b][a] = length
+        elif len(neighbors) == 1 and len(local_ends) == 1:
+            a = neighbors[0]
+            del adjacency[a][v]
+            end_attach[local_ends[0]] = a
+            ends_at[a].append(local_ends[0])
+        else:
+            # Two end-edges at a non-base vertex would disconnect the
+            # finite part; unreachable for valid inputs.
+            raise StructureError(f"cannot suppress vertex {v!r}")
+        del adjacency[v]
+        del ends_at[v]
 
     new_edges = []
     for u in adjacency:
@@ -443,7 +479,8 @@ def future_ends(t: MetricTree, tail: str, head: str) -> frozenset[str]:
 
     Finite edges are given by their two vertices; an end-edge is
     addressed with the end id as ``head`` (outward) or ``tail``
-    (inward).
+    (inward).  Computed on demand from the rooted index: the subtree
+    below the edge, or its complement.
     """
     t.require_valid()
     if head in t.ends:
@@ -452,8 +489,7 @@ def future_ends(t: MetricTree, tail: str, head: str) -> frozenset[str]:
         return frozenset(t.ends) - {tail}
     if _edge_key(tail, head) not in t.edge_length:
         raise DomainError(f"no edge between {tail!r} and {head!r}")
-    parent = t._root()[0]
-    if parent[head] == tail:
+    if t.parent(head) == tail:
         return t.subtree_ends(head)
     return frozenset(t.ends) - t.subtree_ends(tail)
 

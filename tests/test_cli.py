@@ -208,6 +208,16 @@ def test_measure_given_as_list_exit_3(tmp_path, command):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("atoms", [None, 5, 2.5, True])
+@pytest.mark.parametrize("command", ["flows", "check-monotone"])
+def test_coupling_atoms_not_a_list_exit_3(tmp_path, command, atoms):
+    payload = {**CATERPILLAR, "coupling": {"atoms": atoms}}
+    result = run_cli(command, "--input", write(tmp_path, "atoms.json", payload))
+    assert result.returncode == 3
+    assert "parse error" in result.stderr and "'atoms'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 CONSTANT_RULE = {"kind": "constant", "value": "1"}
 
 
@@ -330,3 +340,36 @@ def test_int_ids_are_normalized(tmp_path):
     result = run_cli("solve", "--input", path)
     assert result.returncode == 0
     assert json.loads(result.stdout)["value"] == "-2"
+
+
+SPINE = {
+    "kind": "spine",
+    "masses": {"kind": "geometric", "ratio": "1/2"},
+    "lengths": CONSTANT_RULE,
+}
+
+
+@pytest.mark.parametrize("max_level", ["abc", None, 3.7, 2.5, True, "12", [5]])
+def test_family_max_level_not_an_integer_exit_2(tmp_path, max_level):
+    path = write(tmp_path, "family.json", {**SPINE, "max_level": max_level})
+    result = run_cli("family", "--input", path)
+    assert result.returncode == 2
+    assert "invalid instance" in result.stderr and "'max_level'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_family_integral_float_max_level_is_an_integer(tmp_path):
+    as_float = run_cli("family", "--input", write(tmp_path, "f.json", {**SPINE, "max_level": 6.0}))
+    as_int = run_cli("family", "--input", write(tmp_path, "i.json", {**SPINE, "max_level": 6}))
+    assert as_float.returncode == as_int.returncode == 0
+    assert as_float.stdout == as_int.stdout
+    assert json.loads(as_float.stdout)["max_level"] == 6
+
+
+@pytest.mark.parametrize("values", [5, "123", {"a": "1"}, None])
+def test_family_explicit_values_not_a_list_exit_2(tmp_path, values):
+    spec = {**SPINE, "masses": {"kind": "explicit", "values": values}}
+    result = run_cli("family", "--input", write(tmp_path, "family.json", spec))
+    assert result.returncode == 2
+    assert "invalid instance" in result.stderr and "'values'" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -113,6 +113,7 @@ def node_path(draw, doc):
 
 @st.composite
 def mutated(draw, bases):
+    """A copy of one of ``bases`` with one to three mutations."""
     doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3]))):
         path = draw(node_path(doc))

@@ -29,7 +29,7 @@ from .flows import (
     compute_flow_field,
 )
 from .lp import solve_transportation
-from .transport import Coupling, is_cyclically_monotone
+from .transport import Coupling
 from .tree import GeodesicPath, MetricTree, TreePoint, dist, path_between_ends
 
 __all__ = [

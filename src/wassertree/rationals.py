@@ -3,21 +3,28 @@
 All quantities in this package (edge lengths, masses, flows, costs,
 times) are `fractions.Fraction` instances.  On the wire they travel as
 strings like ``"3/4"`` or ``"-2"``; floats are rejected so that no
-rounding can sneak into a computation.
+rounding can sneak into a computation.  Exponent notation (``"1e5"``)
+is refused too: a short string could otherwise ask for a numerator or
+denominator of any number of digits before a single check runs.
 """
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import OversizeError, ParseError
 
 __all__ = ["parse_fraction", "format_fraction", "decimal_string", "INFINITY"]
 
 
 def parse_fraction(value) -> Fraction:
-    """Parse an exact rational from an int, a Fraction or a "p/q" string."""
+    """Parse an exact rational from an int, a Fraction or a "p/q" string.
+
+    Decimal strings such as ``"0.25"`` are read exactly; exponent
+    notation is a :class:`ParseError`.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -25,6 +32,8 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ParseError(f"not a rational: {value!r} (exponent notation is not accepted)")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -33,8 +42,18 @@ def parse_fraction(value) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Render a Fraction the way ``parse_fraction`` reads it back."""
-    return str(Fraction(value))
+    """Render a Fraction the way ``parse_fraction`` reads it back.
+
+    Raises :class:`OversizeError` when the numerator or denominator has
+    more digits than Python's int-to-str limit allows.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise OversizeError(
+            f"a fraction exceeds Python's int-to-str limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def decimal_string(value: Fraction, places: int) -> str:

@@ -12,18 +12,24 @@ the optimal coupling is a greedy walk capped by the residual edge
 flows (:func:`solve_optimal_coupling`), and the optimal value is a
 closed form in the subtree masses (:func:`optimal_value`).
 
+Cyclical monotonicity reduces to antagonism: a coupling is monotone
+exactly when no two of its pairs traverse an edge in opposite
+directions, and any two that do form a strictly violating 2-cycle
+(:func:`is_cyclically_monotone`, one scan over the pairs' paths, exact
+for every support size).  The uncrossing rewrite (:func:`uncross`)
+removes such opposite traversals edge by edge without ever increasing
+the objective.
+
 The module also carries an independent value oracle
 (:func:`brute_force_value`, successive shortest paths in
-:mod:`wassertree.lp`), an exhaustive cyclical-monotonicity test, and the
-uncrossing rewrite that removes opposite traversals edge by edge without
-ever increasing the objective.
+:mod:`wassertree.lp`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import Mapping, Optional, Union
 
 from .errors import DomainError, OversizeError
@@ -42,15 +48,7 @@ __all__ = [
     "brute_force_value",
     "is_cyclically_monotone",
     "uncross",
-    "CYCLE_SUPPORT_CAP",
-    "PARTIAL_CYCLE_LENGTH",
 ]
-
-# Exhaustive cycle checking is factorial; above this many support atoms
-# only cycles up to PARTIAL_CYCLE_LENGTH are checked and the result is
-# marked non-exhaustive.
-CYCLE_SUPPORT_CAP = 8
-PARTIAL_CYCLE_LENGTH = 4
 
 ORACLE_SUPPORT_CAP = 7
 
@@ -251,6 +249,14 @@ def brute_force_value(
 
 @dataclass(frozen=True)
 class MonotonicityResult:
+    """Verdict of :func:`is_cyclically_monotone`.
+
+    ``witness`` is the violating cycle of support atoms (None when
+    monotone).  ``exhaustive`` tells whether every cycle was covered;
+    the antagonism scan always covers them, and the field stays so the
+    report keeps its shape.
+    """
+
     monotone: bool
     witness: Optional[tuple[tuple[str, str], ...]]
     exhaustive: bool
@@ -259,52 +265,56 @@ class MonotonicityResult:
         return self.monotone
 
 
-def is_cyclically_monotone(pi, cost) -> MonotonicityResult:
-    """Test cyclical monotonicity of a plan's support for a given cost.
+def is_cyclically_monotone(pi: Coupling, cm: CostMatrix) -> MonotonicityResult:
+    """Test cyclical monotonicity of a coupling by scanning for antagonism.
 
-    For every cycle of support atoms the diagonal cost sum must not
-    exceed the shifted sum.  Cycles are enumerated exhaustively up to
-    CYCLE_SUPPORT_CAP atoms; beyond that only cycles of length at most
-    PARTIAL_CYCLE_LENGTH are checked and ``exhaustive`` is False.  On
-    failure the witness is the violating cycle of atoms.
+    On a tree a coupling is cyclically monotone for the Gromov cost
+    exactly when no two of its pairs are antagonists, i.e. traverse some
+    edge in opposite directions.  Each support atom's path is read as
+    ``(child, sign)`` steps (:func:`_path_steps`); the result is the
+    lexicographically first pair ``i < j`` of the sorted support whose
+    steps share a child with opposite signs, and the witness is
+    ``(support[i], support[j])``.  With no such pair the coupling is
+    monotone.  The verdict is exact for every support size, so
+    ``exhaustive`` is always True.
 
-    Accepts a :class:`Coupling` or a raw pair->mass mapping, and a
-    :class:`CostMatrix` or a raw pair->cost mapping, so the same test
-    runs on end couplings and on snapshot couplings.
+    Every such pair is a strictly violating 2-cycle.  Say ``(a, b)``
+    descends the edge ``p -> y`` (base as root) and ``(c, d)`` climbs
+    it, and write ``alpha = (a|b)``, ``gamma = (c|d)``.  Both geodesics
+    cross ``p -> y``, so their points nearest the base lie at or above
+    ``p`` and ``alpha, gamma <= d(p)``: the kept pairs cost
+    ``-(alpha^2 + gamma^2)``.  After the shift, ``c`` and ``b`` both lie
+    below ``y``, so ``(c|b) >= d(y)``, and the ultrametric inequality of
+    Gromov products on a tree gives ``(a|d) >= min((a|b), (b|c), (c|d))
+    = min(alpha, gamma)``.  The shifted pairs therefore cost at most
+    ``-(min(alpha, gamma)^2 + d(y)^2)``, which is strictly less because
+    ``d(y) > d(p) >= max(alpha, gamma)``.
+
+    ``cm`` must come from :func:`cost_matrix`, which records the tree.
     """
-    atoms = pi.atoms if isinstance(pi, Coupling) else dict(pi)
-    lookup = cost.values if isinstance(cost, CostMatrix) else cost
-
-    def label_key(pair):
-        return tuple(
-            x.sort_key() if hasattr(x, "sort_key") else x for x in pair
-        )
-
-    support = sorted(atoms, key=label_key)
-    k = len(support)
-    exhaustive = k <= CYCLE_SUPPORT_CAP
-    max_len = k if exhaustive else PARTIAL_CYCLE_LENGTH
-
-    for first_idx in range(k):
-        first = support[first_idx]
-        rest = support[first_idx + 1 :]
-        for size in range(2, max_len + 1):
-            for tail in permutations(rest, size - 1):
-                cycle = (first,) + tail
-                kept = sum(
-                    (lookup[pair] for pair in cycle), Fraction(0)
-                )
-                shifted = Fraction(0)
-                ok = True
-                for idx, (a, _b) in enumerate(cycle):
-                    b_next = cycle[(idx + 1) % size][1]
-                    if (a, b_next) not in lookup:
-                        ok = False
-                        break
-                    shifted += lookup[(a, b_next)]
-                if ok and kept > shifted:
-                    return MonotonicityResult(False, cycle, exhaustive)
-    return MonotonicityResult(True, None, exhaustive)
+    t = cm.tree
+    if t is None:
+        raise DomainError("cost matrix carries no tree; build it with cost_matrix")
+    support = sorted(pi.atoms)
+    for pair in support:
+        if pair not in cm.values:
+            raise DomainError(f"coupling pair {pair!r} is outside the cost matrix")
+    paths = [_path_steps(t, t.attach(a), t.attach(b)) for a, b in support]
+    # crossers[(child, sign)]: indices of the atoms taking that step, increasing.
+    crossers: dict[tuple[str, int], list[int]] = {}
+    for i, steps in enumerate(paths):
+        for step in steps:
+            crossers.setdefault(step, []).append(i)
+    for i, steps in enumerate(paths):
+        partners = []
+        for child, sign in steps:
+            opposite = crossers.get((child, -sign), ())
+            k = bisect_right(opposite, i)
+            if k < len(opposite):
+                partners.append(opposite[k])
+        if partners:
+            return MonotonicityResult(False, (support[i], support[min(partners)]), True)
+    return MonotonicityResult(True, None, True)
 
 
 def uncross(pi: Coupling, t: MetricTree) -> Coupling:

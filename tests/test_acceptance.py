@@ -39,6 +39,7 @@ from wassertree import (
 from wassertree.lp import solve_transportation
 
 from gen import random_coupling, random_measures, random_tree
+from oracles import cycles
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -149,10 +150,13 @@ def test_criterion_4_monotonicity_equivalence():
         _, best = solve_optimal_coupling(cm, minus, plus)
         for k in range(100):
             pi = random_coupling(rng, minus, plus)
-            monotone = is_cyclically_monotone(pi, cm).monotone
+            monotone = cycles.is_cyclically_monotone(pi, cm).monotone
             free = not antagonist_pairs(lift(pi, t))
-            if monotone != free:
-                failures.append(f"instance {idx} coupling {k}: monotone={monotone} free={free}")
+            scan = is_cyclically_monotone(pi, cm).monotone
+            if not monotone == free == scan:
+                failures.append(
+                    f"instance {idx} coupling {k}: monotone={monotone} free={free} scan={scan}"
+                )
             if free:
                 monotone_count += 1
                 if pi.value(cm) != best:

@@ -373,3 +373,27 @@ def test_family_explicit_values_not_a_list_exit_2(tmp_path, values):
     assert result.returncode == 2
     assert "invalid instance" in result.stderr and "'values'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("length", ["1e5000", "1e-999999999", "2.5E3", "3/4e2"])
+@pytest.mark.parametrize("command", ["validate", "flows", "solve"])
+def test_exponent_notation_exit_3(tmp_path, command, length):
+    payload = json.loads((SAMPLES / "caterpillar.json").read_text())
+    payload["edges"][0]["len"] = length
+    result = run_cli(command, "--input", write(tmp_path, "exp.json", payload))
+    assert result.returncode == 3
+    assert "parse error" in result.stderr and "exponent notation" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["flows", "solve", "realize"])
+def test_fraction_beyond_int_str_limit_exit_4(tmp_path, command):
+    # Each length parses (3000 digits) but the flows and costs built from
+    # them need more digits than Python renders as a string.
+    payload = json.loads((SAMPLES / "caterpillar.json").read_text())
+    for edge in payload["edges"]:
+        edge["len"] = "1/" + "7" * 3000
+    result = run_cli(command, "--input", write(tmp_path, "sevens.json", payload))
+    assert result.returncode == 4
+    assert "domain error" in result.stderr and "int-to-str limit" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -18,7 +18,6 @@ from wassertree import (
     dist,
     flow_level_snapshot,
     lift,
-    is_cyclically_monotone,
     plan_coupling,
     plan_edge_and_vertex_masses,
     plan_marginals,
@@ -32,6 +31,7 @@ from wassertree import (
 )
 
 from gen import random_coupling, random_measures, random_tree
+from oracles import cycles
 
 
 def _instance(rng, max_side=5):
@@ -465,10 +465,10 @@ def test_antagonism_iff_snapshot_coupling_not_monotone():
             crossed_seen += 1
             r, s = _witness_window(plan, t, pairs)
             atoms, cost = _induced_snapshot_coupling(plan, t, r, s)
-            assert not is_cyclically_monotone(atoms, cost).monotone
+            assert not cycles.is_cyclically_monotone(atoms, cost).monotone
         else:
             clean_seen += 1
             for (r, s) in ((Fraction(-4), Fraction(4)), (Fraction(-1), Fraction(2))):
                 atoms, cost = _induced_snapshot_coupling(plan, t, r, s)
-                assert is_cyclically_monotone(atoms, cost).monotone
+                assert cycles.is_cyclically_monotone(atoms, cost).monotone
     assert crossed_seen > 0 and clean_seen > 0

@@ -389,11 +389,22 @@ def test_monotone_single_atom(caterpillar):
     assert is_cyclically_monotone(pi, cm).monotone
 
 
-def test_monotone_partial_mode():
-    atoms = {(f"a{i}", f"b{i}"): Fraction(1, 10) for i in range(10)}
-    cost = {(f"a{i}", f"b{j}"): Fraction(0) for i in range(10) for j in range(10)}
-    result = is_cyclically_monotone(atoms, cost)
-    assert result.monotone and not result.exhaustive
+def test_monotone_ten_atoms_exhaustive():
+    # Ten pairs, more than the eight atoms the permutation oracle in
+    # tests/oracles/cycles.py covers exhaustively.
+    t = MetricTree(
+        vertices=["c"],
+        edges=[],
+        ends=[(f"a{i}", "c") for i in range(10)] + [(f"b{i}", "c") for i in range(10)],
+        base="c",
+    )
+    minus = BoundaryMeasure({f"a{i}": Fraction(1, 10) for i in range(10)})
+    plus = BoundaryMeasure({f"b{i}": Fraction(1, 10) for i in range(10)})
+    cm = cost_matrix(t, minus, plus)
+    pi = Coupling({(f"a{i}", f"b{i}"): Fraction(1, 10) for i in range(10)})
+    result = is_cyclically_monotone(pi, cm)
+    assert len(pi.atoms) == 10
+    assert result.monotone and result.exhaustive
 
 
 # -- uncross ------------------------------------------------------------------

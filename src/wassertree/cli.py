@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .dot import tree_to_dot
@@ -20,7 +19,7 @@ from .errors import DomainError, ParseError, StructureError
 from .flows import compute_flow_field, specific_flow_second_moment
 from .rationals import INFINITY, decimal_string, format_fraction, parse_fraction
 from .realizability import decide, family_analyze
-from .transport import cost_matrix, is_cyclically_monotone, solve_optimal_coupling
+from .transport import is_cyclically_monotone, solve_optimal_coupling
 from .tree import gromov_product, validate_tree
 
 EXIT_OK = 0
@@ -102,8 +101,7 @@ def cmd_d0(args) -> int:
 def cmd_solve(args) -> int:
     tree, measures, _ = serialize.load_instance(args.input)
     minus, plus = _require_measures(measures)
-    cm = cost_matrix(tree, minus, plus)
-    coupling, value = solve_optimal_coupling(cm, minus, plus)
+    coupling, value = solve_optimal_coupling(compute_flow_field(tree, minus, plus))
     out = {
         "value": format_fraction(value),
         "coupling": serialize.coupling_to_json(coupling)["atoms"],
@@ -122,19 +120,19 @@ def cmd_check_monotone(args) -> int:
     left, right = coupling.marginals()
     if left != minus or right != plus:
         raise DomainError("coupling marginals do not match the measures")
-    cm = cost_matrix(tree, minus, plus)
-    result = is_cyclically_monotone(coupling, cm)
+    result = is_cyclically_monotone(coupling, tree)
     _write_output(serialize.dumps(serialize.monotonicity_to_json(result)), args.output)
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
+    times = [parse_fraction(part) for part in args.times.split(",") if part.strip()]
     tree, measures, _ = serialize.load_instance(args.input)
     minus, plus = _require_measures(measures)
     report = decide(tree, minus, plus)
     snapshots = None
-    if report.verdict == "realizable" and args.times:
-        snapshots = [snapshot(report.plan, time, tree) for time in args.times]
+    if report.verdict == "realizable" and times:
+        snapshots = [snapshot(report.plan, time, tree) for time in times]
     out = serialize.realizability_to_json(report, tree, snapshots, decimal=args.decimal)
     _write_output(serialize.dumps(out), args.output)
     if args.dot:
@@ -164,10 +162,6 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _times_list(text: str) -> list[Fraction]:
-    return [parse_fraction(part) for part in text.split(",") if part.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wassertree",
@@ -181,14 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decimal", type=int, default=None, metavar="N",
                        help="add N-digit decimal renderings next to fractions")
         if needs_times:
-            p.add_argument("--times", type=_times_list, default=[],
+            p.add_argument("--times", default="",
                            help="comma-separated rational times; use the = form "
                                 "for negative values, e.g. --times=-1,0,1/2,3")
         if needs_level:
             p.add_argument("--max-level", type=int, default=None, metavar="K")
         if needs_tolerance:
-            p.add_argument("--tolerance", type=parse_fraction, default=Fraction(1, 1000),
-                           metavar="p/q")
+            p.add_argument("--tolerance", default="1/1000", metavar="p/q")
         if dot:
             p.add_argument("--dot", default=None, metavar="PATH",
                            help="write a Graphviz DOT rendering of the tree")

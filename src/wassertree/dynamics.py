@@ -10,7 +10,9 @@ The module provides the mass bookkeeping that mirrors the edge/vertex
 flows (and the comparison between the two), antagonism detection, the
 piecewise-isometric time function attached to a flow field, snapshots
 of a plan at any rational time, and a verifier that a plan really moves
-at unit speed in the quadratic Wasserstein metric.
+at unit speed in the quadratic Wasserstein metric.  The comparison and
+the verifier take the flow field of the plan's marginals from the
+caller and refuse one built from other measures.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .flows import (
     POSITIVE,
     BoundaryMeasure,
     FlowField,
-    compute_flow_field,
 )
 from .lp import solve_transportation
 from .transport import Coupling
@@ -241,12 +242,15 @@ class FlowBoundsReport:
         )
 
 
+def _require_marginals(plan: DynamicalPlan, ff: FlowField) -> None:
+    if plan_marginals(plan) != (ff.minus, ff.plus):
+        raise DomainError("plan marginals do not match the flow field's measures")
+
+
 def check_flow_bounds(plan: DynamicalPlan, ff: FlowField) -> FlowBoundsReport:
     """Verify mass >= flow bounds and the equality/antagonism dichotomy."""
     t = ff.tree
-    nm, np_ = plan_marginals(plan)
-    if nm != ff.minus or np_ != ff.plus:
-        raise DomainError("plan marginals do not match the flow field's measures")
+    _require_marginals(plan, ff)
 
     edge_mass, vertex_mass, base_mass = plan_edge_and_vertex_masses(plan)
 
@@ -553,11 +557,15 @@ def _snapshot_transport_value(
     return value
 
 
-def verify_geodesic(plan: DynamicalPlan, t: MetricTree, sample_times) -> GeodesicReport:
-    """Check that a plan moves at unit Wasserstein speed.
+def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> GeodesicReport:
+    """Check that a plan moves at unit Wasserstein speed on ``ff.tree``.
+
+    ``ff`` must be the flow field of the plan's own marginals (a
+    :class:`DomainError` otherwise); it is a function of them, so the
+    checks below read nothing the plan does not determine.
 
     Three independent checks: (a) no antagonist pair of atoms; (b) the
-    time function of the induced flow field is isometric along every
+    time function of the flow field is isometric along every
     supported geodesic (each finite edge is traversed in its positive
     orientation, mass enters through negative end-edges and leaves
     through positive ones); (c) for each sampled pair r < s the exact
@@ -577,10 +585,10 @@ def verify_geodesic(plan: DynamicalPlan, t: MetricTree, sample_times) -> Geodesi
     if len(times) < 2:
         raise DomainError("need at least two distinct sample times")
 
+    t = ff.tree
+    _require_marginals(plan, ff)
     pairs = antagonist_pairs(plan)
 
-    nm, np_ = plan_marginals(plan)
-    ff = compute_flow_field(t, nm, np_)
     tau_failures = []
     for idx, a in enumerate(plan.atoms):
         for (tail, head) in a.path.edges:

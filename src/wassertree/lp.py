@@ -1,10 +1,12 @@
 """Exact rational solvers for the bipartite transportation problem.
 
-On a tree the library computes transport from the edge flows (see
+On a tree the library computes transport from a flow field (see
 :mod:`wassertree.transport`), so these general solvers serve as
-differential-test oracles.  The only production caller is the fallback
-of :func:`wassertree.dynamics.verify_geodesic` for snapshot pairs whose
-unit-speed certificate does not close.  Two algorithmically independent
+differential-test oracles, over the Gromov cost tables of
+:func:`wassertree.transport.cost_matrix`.  The only production caller is
+the fallback of :func:`wassertree.dynamics.verify_geodesic` for
+snapshot pairs whose unit-speed certificate does not close; it builds
+its own table of squared distances between snapshot points.  Two algorithmically independent
 routes are provided:
 
 * :func:`solve_transportation` is a primal transportation simplex over

@@ -11,10 +11,10 @@ denominator of any number of digits before a single check runs.
 from __future__ import annotations
 
 import sys
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal
 from fractions import Fraction
 
-from .errors import OversizeError, ParseError
+from .errors import DomainError, OversizeError, ParseError
 
 __all__ = ["parse_fraction", "format_fraction", "decimal_string", "INFINITY"]
 
@@ -41,6 +41,13 @@ def parse_fraction(value) -> Fraction:
     raise ParseError(f"not a rational: {value!r} (floats are not accepted)")
 
 
+def _oversize() -> OversizeError:
+    return OversizeError(
+        f"a fraction exceeds Python's int-to-str limit of "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction the way ``parse_fraction`` reads it back.
 
@@ -50,17 +57,27 @@ def format_fraction(value: Fraction) -> str:
     try:
         return str(Fraction(value))
     except ValueError as exc:
-        raise OversizeError(
-            f"a fraction exceeds Python's int-to-str limit of "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from exc
+        raise _oversize() from exc
 
 
 def decimal_string(value: Fraction, places: int) -> str:
-    """Deterministic decimal rendering with ``places`` digits (half-even)."""
-    quantum = Decimal(1).scaleb(-places)
-    dec = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(dec.quantize(quantum, rounding=ROUND_HALF_EVEN))
+    """Decimal rendering with ``places`` digits after the point.
+
+    The Fraction is rounded exactly, half to even, and the sign of
+    ``value`` is kept even when it rounds to zero (``"-0.000000"``).
+    A negative ``places`` is a :class:`DomainError`; a rendering with
+    more digits than Python's int-to-str limit is an
+    :class:`OversizeError`.
+    """
+    if places < 0:
+        raise DomainError(f"decimal places must be nonnegative, got {places}")
+    if places > sys.get_int_max_str_digits():
+        raise _oversize()
+    try:
+        digits = str(abs(round(value * 10**places)))
+    except ValueError as exc:
+        raise _oversize() from exc
+    return str(Decimal((int(value < 0), tuple(map(int, digits)), -places)))
 
 
 class _Infinity:

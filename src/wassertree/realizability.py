@@ -38,7 +38,7 @@ from .dynamics import (
     verify_geodesic,
 )
 from .rationals import parse_fraction
-from .transport import Coupling, cost_matrix, optimal_value, solve_optimal_coupling
+from .transport import Coupling, optimal_value, solve_optimal_coupling
 from .tree import MetricTree, canonicalize
 
 __all__ = [
@@ -92,7 +92,8 @@ def decide(
 
     Antipodality is necessary; on a finite instance it is also
     sufficient, and the witness construction (optimal coupling, its
-    canonical lift, and the unit-speed verification) is returned.
+    canonical lift, and the unit-speed verification) is returned.  One
+    flow field feeds the coupling, the moment and the verification.
     """
     t.require_valid()
     if not check_antipodal(t, minus, plus):
@@ -107,13 +108,12 @@ def decide(
             geodesic=None,
             sample_times=(),
         )
-    cm = cost_matrix(t, minus, plus)
-    coupling, value = solve_optimal_coupling(cm, minus, plus)
     ff = compute_flow_field(t, minus, plus)
+    coupling, value = solve_optimal_coupling(ff)
     moment = specific_flow_second_moment(t, ff)
     plan = lift(coupling, t)
     times = tuple(sorted({Fraction(x) for x in sample_times})) if sample_times else _default_times(plan)
-    report = verify_geodesic(plan, t, times)
+    report = verify_geodesic(plan, ff, times)
     return RealizabilityReport(
         antipodal=True,
         verdict=REALIZABLE,

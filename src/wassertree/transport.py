@@ -9,8 +9,10 @@ On a tree this problem needs no general solver.  A coupling is optimal
 exactly when every pair rides only edge orientations that carry
 positive flow, and then it puts exactly the flow on each of them.  So
 the optimal coupling is a greedy walk capped by the residual edge
-flows (:func:`solve_optimal_coupling`), and the optimal value is a
-closed form in the subtree masses (:func:`optimal_value`).
+flows of a :class:`~wassertree.flows.FlowField`
+(:func:`solve_optimal_coupling`), and the optimal value is a closed
+form in the subtree masses (:func:`optimal_value`).  Neither builds a
+cost table.
 
 Cyclical monotonicity reduces to antagonism: a coupling is monotone
 exactly when no two of its pairs traverse an edge in opposite
@@ -20,20 +22,20 @@ for every support size).  The uncrossing rewrite (:func:`uncross`)
 removes such opposite traversals edge by edge without ever increasing
 the objective.
 
-The module also carries an independent value oracle
-(:func:`brute_force_value`, successive shortest paths in
-:mod:`wassertree.lp`).
+The cost table (:func:`cost_matrix`) serves only the independent value
+oracle (:func:`brute_force_value`, successive shortest paths in
+:mod:`wassertree.lp`) and :meth:`Coupling.value`; the tests use both.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import DomainError, OversizeError
-from .flows import BoundaryMeasure, check_antipodal, subtree_masses
+from .flows import BoundaryMeasure, FlowField, check_antipodal, subtree_masses
 from .lp import min_cost_transport_value
 from .rationals import parse_fraction
 from .tree import MetricTree, gromov_product
@@ -55,16 +57,11 @@ ORACLE_SUPPORT_CAP = 7
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Minus squared Gromov product on source-support x target-support.
-
-    ``tree`` is the tree the table was built from; the transport solver
-    reads the edge flows from it.
-    """
+    """Minus squared Gromov product on source-support x target-support."""
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     values: Mapping[tuple[str, str], Fraction]
-    tree: Optional[MetricTree] = field(default=None, compare=False, repr=False)
 
     def cost(self, a: str, b: str) -> Fraction:
         return self.values[(a, b)]
@@ -118,7 +115,7 @@ def cost_matrix(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) ->
         for b in cols:
             g = gromov_product(t, a, b)
             values[(a, b)] = -g * g
-    return CostMatrix(rows=rows, cols=cols, values=values, tree=t)
+    return CostMatrix(rows=rows, cols=cols, values=values)
 
 
 def _path_steps(t: MetricTree, u: str, v: str) -> list[tuple[str, int]]:
@@ -142,43 +139,38 @@ def _path_steps(t: MetricTree, u: str, v: str) -> list[tuple[str, int]]:
     return steps
 
 
-def solve_optimal_coupling(
-    cm: CostMatrix, minus: BoundaryMeasure, plus: BoundaryMeasure
-) -> tuple[Coupling, Fraction]:
-    """Exact minimizer over the transport polytope, plus its value.
+def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
+    """Exact minimizer over the transport polytope of ``ff``'s measures.
 
     Flow-capped greedy: cells are visited in (source id, target id)
-    row-major order, and each gets the largest mass the residual supply,
+    row-major order over the sorted supports of ``ff.minus`` and
+    ``ff.plus``, and each gets the largest mass the residual supply,
     the residual demand and the residual flow on every edge of its path
     (in the path's direction) allow; that mass is then subtracted along
-    the path.  The residual flows are the flows of the residual
-    measures, so the greedy never dead-ends, and every pair it loads
-    rides positive flow only, which makes the coupling optimal.  Each
-    cell gets the most any optimal coupling extending the earlier cells
-    can give it, so the result is the optimal coupling whose mass
+    the path.  The residual flow into a child ``y`` starts at
+    ``ff.flow(parent(y), y)``.  The residual flows are the flows of the
+    residual measures, so the greedy never dead-ends, and every pair it
+    loads rides positive flow only, which makes the coupling optimal.
+    Each cell gets the most any optimal coupling extending the earlier
+    cells can give it, so the result is the optimal coupling whose mass
     vector, read in that order, is lexicographically greatest.  It is a
     vertex of the polytope (at most m+n-1 atoms), the same one the
     lexicographically perturbed simplex in :mod:`wassertree.lp` returns.
 
-    ``cm`` must come from :func:`cost_matrix`, which records the tree.
+    The value returned is the coupling's own cost, ``-sum m * (a|b)^2``
+    over its atoms, so comparing it with ``-specific_flow_moment``
+    checks the greedy.
     """
-    if minus.support != set(cm.rows) or plus.support != set(cm.cols):
-        raise DomainError("cost matrix does not cover the measure supports")
-    t = cm.tree
-    if t is None:
-        raise DomainError("cost matrix carries no tree; build it with cost_matrix")
-    below_minus = subtree_masses(t, minus)
-    below_plus = subtree_masses(t, plus)
+    t, minus, plus = ff.tree, ff.minus, ff.plus
+    parent = t._root().parent
     # residual[y]: remaining flow from parent(y) into y.
-    residual = {
-        y: below_plus.get(y, Fraction(0)) - below_minus.get(y, Fraction(0))
-        for y in below_minus.keys() | below_plus.keys()
-    }
+    residual = {y: ff.flow(p, y) for y, p in parent.items() if p is not None}
     supply = dict(minus.atoms)
     demand = dict(plus.atoms)
     atoms: dict[tuple[str, str], Fraction] = {}
-    for a in cm.rows:
-        for b in cm.cols:
+    cols = sorted(plus.atoms)
+    for a in sorted(minus.atoms):
+        for b in cols:
             q = min(supply[a], demand[b])
             if q == 0:
                 continue
@@ -195,7 +187,11 @@ def solve_optimal_coupling(
     if any(supply.values()):
         raise DomainError("flow-capped greedy left supply unplaced")
     coupling = Coupling(atoms)
-    return coupling, coupling.value(cm)
+    value = Fraction(0)
+    for (a, b), m in coupling.atoms.items():
+        g = gromov_product(t, a, b)
+        value -= m * g * g
+    return coupling, value
 
 
 def optimal_value(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> Fraction:
@@ -232,15 +228,14 @@ def brute_force_value(
     Computed by successive shortest augmenting paths over the cost
     table, sharing nothing with the flow-capped greedy of
     :func:`solve_optimal_coupling` or the closed form of
-    :func:`optimal_value`.  Refuses supports larger than
+    :func:`optimal_value`.  ``cm`` is the table :func:`cost_matrix`
+    builds over the two supports.  Refuses supports larger than
     ORACLE_SUPPORT_CAP per side.
     """
     if len(minus.support) > ORACLE_SUPPORT_CAP or len(plus.support) > ORACLE_SUPPORT_CAP:
         raise OversizeError(
             f"oracle refuses supports larger than {ORACLE_SUPPORT_CAP} per side"
         )
-    if minus.support != set(cm.rows) or plus.support != set(cm.cols):
-        raise DomainError("cost matrix does not cover the measure supports")
     supplies = [minus.mass(a) for a in cm.rows]
     demands = [plus.mass(b) for b in cm.cols]
     costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
@@ -265,7 +260,7 @@ class MonotonicityResult:
         return self.monotone
 
 
-def is_cyclically_monotone(pi: Coupling, cm: CostMatrix) -> MonotonicityResult:
+def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     """Test cyclical monotonicity of a coupling by scanning for antagonism.
 
     On a tree a coupling is cyclically monotone for the Gromov cost
@@ -290,15 +285,13 @@ def is_cyclically_monotone(pi: Coupling, cm: CostMatrix) -> MonotonicityResult:
     ``-(min(alpha, gamma)^2 + d(y)^2)``, which is strictly less because
     ``d(y) > d(p) >= max(alpha, gamma)``.
 
-    ``cm`` must come from :func:`cost_matrix`, which records the tree.
+    The coupling need not have mass 1.  An end unknown to ``t``, or an
+    end that is both a source and a target, is a :class:`DomainError`.
     """
-    t = cm.tree
-    if t is None:
-        raise DomainError("cost matrix carries no tree; build it with cost_matrix")
+    t.require_valid()
     support = sorted(pi.atoms)
-    for pair in support:
-        if pair not in cm.values:
-            raise DomainError(f"coupling pair {pair!r} is outside the cost matrix")
+    if {a for a, _ in support} & {b for _, b in support}:
+        raise DomainError("coupling source and target ends overlap")
     paths = [_path_steps(t, t.attach(a), t.attach(b)) for a, b in support]
     # crossers[(child, sign)]: indices of the atoms taking that step, increasing.
     crossers: dict[tuple[str, int], list[int]] = {}

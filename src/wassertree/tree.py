@@ -234,9 +234,13 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def _validate(t: MetricTree) -> ValidationReport:
+def _structural_violations(t: MetricTree) -> list[str]:
+    """Ids, edges, connectivity, acyclicity and at least two ends.
+
+    Everything a tree needs except canonical degrees, so it also serves
+    :func:`canonicalize`, whose inputs have degree-2 vertices.
+    """
     violations: list[str] = []
-    warnings: list[str] = []
 
     if t.base not in t._vertex_set:
         violations.append(f"base vertex {t.base!r} is not a vertex")
@@ -261,7 +265,7 @@ def _validate(t: MetricTree) -> ValidationReport:
         seen_pairs.add((u, v))
 
     if violations:
-        return ValidationReport(False, tuple(violations), tuple(warnings))
+        return violations
 
     # Connectivity and acyclicity of the finite part (ends are leaves and
     # cannot close a cycle).
@@ -283,7 +287,12 @@ def _validate(t: MetricTree) -> ValidationReport:
 
     if len(t.ends) < 2:
         violations.append("fewer than 2 ends")
+    return violations
 
+
+def _validate(t: MetricTree) -> ValidationReport:
+    violations = _structural_violations(t)
+    warnings: list[str] = []
     if not violations:
         for v in t.vertices:
             deg = t.degree(v)
@@ -308,48 +317,24 @@ def canonicalize(t: MetricTree) -> MetricTree:
 
     The metric space is unchanged.  A degree-2 base vertex is retained
     (the base must stay a vertex); ``validate_tree`` flags it with a
-    warning afterwards.
+    warning afterwards.  Every violation ``validate_tree`` reports other
+    than a degree-2 vertex is a :class:`StructureError` here too.
     """
-    adjacency = {v: dict() for v in t.vertices}
-    for u, v, length in t.edges:
-        if u == v or u not in adjacency or v not in adjacency:
-            raise StructureError("canonicalize requires a simple connected acyclic graph")
-        if v in adjacency[u]:
-            raise StructureError("canonicalize requires a simple connected acyclic graph")
-        if length <= 0:
-            raise StructureError(f"non-positive edge length on ({u!r},{v!r})")
-        adjacency[u][v] = length
-        adjacency[v][u] = length
-    if t.base not in adjacency:
-        raise StructureError(f"base vertex {t.base!r} is not a vertex")
-    # Connectivity / acyclicity of the finite part.
-    if t.vertices:
-        seen = {t.vertices[0]}
-        stack = [t.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(t.vertices):
-            raise StructureError("not connected")
-        if len(t.edges) != len(t.vertices) - 1:
-            raise StructureError("not acyclic")
-
+    violations = _structural_violations(t)
+    if violations:
+        raise StructureError("; ".join(violations))
+    adjacency = {v: dict(t.adjacency[v]) for v in t.vertices}
     end_attach = dict(t.ends)
-    ends_at: dict[str, list[str]] = {v: [] for v in t.vertices}
-    for e, a in end_attach.items():
-        if a in ends_at:
-            ends_at[a].append(e)
+    ends_at = {v: list(t.vertex_ends[v]) for v in t.vertices}
 
     # Suppressing a vertex leaves every other degree unchanged (its
     # neighbours trade it for each other, or for its end), so the
     # vertices to suppress are known up front: one pass removes them all.
-    worklist = [v for v in t.vertices if v != t.base and len(adjacency[v]) + len(ends_at[v]) == 2]
+    # The graph is connected, so a non-base vertex of degree 2 has two
+    # neighbours, or one neighbour and one end.
+    worklist = [v for v in t.vertices if v != t.base and t.degree(v) == 2]
     for v in worklist:
         neighbors = sorted(adjacency[v])
-        local_ends = sorted(ends_at[v])
         if len(neighbors) == 2:
             a, b = neighbors
             length = adjacency[v][a] + adjacency[v][b]
@@ -357,15 +342,11 @@ def canonicalize(t: MetricTree) -> MetricTree:
             del adjacency[b][v]
             adjacency[a][b] = length
             adjacency[b][a] = length
-        elif len(neighbors) == 1 and len(local_ends) == 1:
-            a = neighbors[0]
-            del adjacency[a][v]
-            end_attach[local_ends[0]] = a
-            ends_at[a].append(local_ends[0])
         else:
-            # Two end-edges at a non-base vertex would disconnect the
-            # finite part; unreachable for valid inputs.
-            raise StructureError(f"cannot suppress vertex {v!r}")
+            (a,), (end_id,) = neighbors, ends_at[v]
+            del adjacency[a][v]
+            end_attach[end_id] = a
+            ends_at[a].append(end_id)
         del adjacency[v]
         del ends_at[v]
 

@@ -15,11 +15,12 @@ import pytest
 
 from wassertree import (
     BoundaryMeasure,
-    CostMatrix,
     Coupling,
     DomainError,
     MetricTree,
+    StructureError,
     antagonist_pairs,
+    compute_flow_field,
     cost_matrix,
     is_cyclically_monotone,
     lift,
@@ -54,7 +55,7 @@ def _couplings(seed, count, sides, atom_range):
         cm = cost_matrix(t, minus, plus)
         pi = random_coupling(rng, minus, plus)
         if len(out) % 5 == 4:
-            pi = uncross(pi, t) if rng.random() < 0.5 else solve_optimal_coupling(cm, minus, plus)[0]
+            pi = uncross(pi, t) if rng.random() < 0.5 else solve_optimal_coupling(compute_flow_field(t, minus, plus))[0]
         if len(pi.atoms) in atom_range:
             out.append((t, cm, pi))
     return out
@@ -64,7 +65,7 @@ def test_scan_matches_enumerator_up_to_8_atoms():
     counts = {"monotone": 0, "violated": 0, "two_cycle": 0, "longer": 0}
     for t, cm, pi in _couplings(seed=4040, count=1000, sides=4, atom_range=range(1, 9)):
         oracle = cycles.is_cyclically_monotone(pi, cm)
-        result = is_cyclically_monotone(pi, cm)
+        result = is_cyclically_monotone(pi, t)
         assert oracle.exhaustive and result.exhaustive
         assert result.monotone == oracle.monotone
         if result.monotone:
@@ -87,7 +88,7 @@ def test_scan_matches_enumerator_up_to_8_atoms():
 def test_scan_matches_antagonist_pairs_9_to_20_atoms():
     violated = 0
     for t, cm, pi in _couplings(seed=4141, count=150, sides=12, atom_range=range(9, 21)):
-        result = is_cyclically_monotone(pi, cm)
+        result = is_cyclically_monotone(pi, t)
         assert result.exhaustive
         support = sorted(pi.atoms)
         pairs = antagonist_pairs(lift(pi, t))
@@ -98,25 +99,44 @@ def test_scan_matches_antagonist_pairs_9_to_20_atoms():
             assert result.witness == (support[i], support[j])
             assert _strictly_violating(cm, result.witness, pi.atoms)
         fixed = uncross(pi, t)
-        assert is_cyclically_monotone(fixed, cm).monotone
+        assert is_cyclically_monotone(fixed, t).monotone
         if result.monotone:
             assert fixed == pi
     assert violated >= 50
 
 
-def test_scan_rejects_cost_matrix_without_tree(caterpillar, caterpillar_measures):
-    minus, plus = caterpillar_measures
-    cm = cost_matrix(caterpillar, minus, plus)
-    bare = CostMatrix(rows=cm.rows, cols=cm.cols, values=cm.values)
-    pi = Coupling({("A", "B"): Fraction(1, 2), ("C", "D"): Fraction(1, 2)})
-    with pytest.raises(DomainError):
-        is_cyclically_monotone(pi, bare)
+def test_scan_rejects_overlapping_coupling(caterpillar):
+    # B is a target of one pair and the source of another.
+    pi = Coupling({("A", "B"): Fraction(1, 2), ("B", "D"): Fraction(1, 2)})
+    with pytest.raises(DomainError, match="overlap"):
+        is_cyclically_monotone(pi, caterpillar)
+    with pytest.raises(DomainError, match="overlap"):
+        is_cyclically_monotone(Coupling({("A", "A"): Fraction(1)}), caterpillar)
 
 
-def test_scan_rejects_pair_outside_cost_matrix(caterpillar):
-    cm = cost_matrix(caterpillar, BoundaryMeasure({"A": 1}), BoundaryMeasure({"D": 1}))
-    with pytest.raises(DomainError):
-        is_cyclically_monotone(Coupling({("C", "B"): Fraction(1)}), cm)
+def test_scan_rejects_unknown_end(caterpillar):
+    with pytest.raises(DomainError, match="unknown end"):
+        is_cyclically_monotone(Coupling({("C", "Z"): Fraction(1)}), caterpillar)
+
+
+def test_scan_validates_the_tree_first():
+    # Unknown and overlapping ends on an invalid tree: the tree's
+    # StructureError (exit 2) comes first.
+    cycle = MetricTree(
+        vertices=["a", "b", "c"],
+        edges=[("a", "b", 1), ("b", "c", 1), ("c", "a", 1)],
+        ends=[("A", "a"), ("B", "b")],
+        base="a",
+    )
+    pi = Coupling({("A", "Z"): Fraction(1, 2), ("Z", "B"): Fraction(1, 2)})
+    with pytest.raises(StructureError):
+        is_cyclically_monotone(pi, cycle)
+
+
+def test_scan_accepts_couplings_of_any_mass(caterpillar):
+    crossed = Coupling({("A", "D"): Fraction(1, 4), ("C", "B"): Fraction(1, 4)})
+    assert is_cyclically_monotone(crossed, caterpillar).witness == (("A", "D"), ("C", "B"))
+    assert is_cyclically_monotone(Coupling({("A", "B"): 3, ("C", "D"): 2}), caterpillar).monotone
 
 
 def test_scan_on_deep_spine():
@@ -131,9 +151,8 @@ def test_scan_on_deep_spine():
     )
     minus = BoundaryMeasure({"e0": Fraction(1, 2), f"e{n - 1}": Fraction(1, 2)})
     plus = BoundaryMeasure({"e1": Fraction(1, 2), f"e{n - 2}": Fraction(1, 2)})
-    cm = cost_matrix(t, minus, plus)
     crossed = Coupling({("e0", f"e{n - 2}"): Fraction(1, 2), (f"e{n - 1}", "e1"): Fraction(1, 2)})
-    result = is_cyclically_monotone(crossed, cm)
+    result = is_cyclically_monotone(crossed, t)
     assert not result.monotone and result.exhaustive
     assert result.witness == (("e0", f"e{n - 2}"), (f"e{n - 1}", "e1"))
-    assert is_cyclically_monotone(uncross(crossed, t), cm).monotone
+    assert is_cyclically_monotone(uncross(crossed, t), t).monotone

@@ -1,12 +1,15 @@
+import copy
 import json
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wassertree import serialize
+from wassertree import OversizeError, serialize
+from wassertree.rationals import decimal_string
 from wassertree.serialize import load_instance
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -267,6 +270,93 @@ def test_decimal_flag_adds_columns(tmp_path):
     out = json.loads(result.stdout)
     assert out["value"] == "-2"
     assert out["value_decimal"] == "-2.000"
+
+
+def _exact_decimal(text, places):
+    # Independent rendering: a decimal context wide enough for the
+    # exact half-even rounding of these small values.
+    value = Fraction(text)
+    with localcontext() as ctx:
+        ctx.prec = 200
+        dec = Decimal(value.numerator) / Decimal(value.denominator)
+        return str(dec.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+
+
+@pytest.mark.parametrize("places", ["29", "40"])
+def test_decimal_beyond_28_digits(tmp_path, places):
+    payload = copy.deepcopy(CATERPILLAR)
+    payload["edges"][0]["len"] = "1/3"
+    result = run_cli("solve", "--input", write(tmp_path, "third.json", payload), "--decimal", places)
+    assert result.returncode == 0 and "Traceback" not in result.stderr
+    out = json.loads(result.stdout)
+    assert out["value"] == "-1/18"
+    assert out["value_decimal"] == _exact_decimal("-1/18", int(places))
+    assert out["value_decimal"] == "-0.0" + "5" * (int(places) - 2) + "6"
+
+
+def test_decimal_with_many_integer_digits(tmp_path):
+    # A value of 32 integer digits rendered with 6 places needs 38.
+    payload = json.loads((SAMPLES / "caterpillar.json").read_text())
+    payload["edges"][0]["len"] = "10000000000000000"
+    result = run_cli("solve", "--input", write(tmp_path, "long.json", payload), "--decimal", "6")
+    assert result.returncode == 0 and "Traceback" not in result.stderr
+    out = json.loads(result.stdout)
+    assert out["value_decimal"] == _exact_decimal(out["value"], 6)
+    assert out["value_decimal"].endswith(".000000") and len(out["value_decimal"]) == 40
+
+
+@pytest.mark.parametrize(
+    "value, places, expected",
+    [
+        (Fraction(5, 2), 0, "2"),
+        (Fraction(7, 2), 0, "4"),
+        (Fraction(-5, 2), 0, "-2"),
+        (Fraction(1, 8), 2, "0.12"),
+        (Fraction(3, 8), 2, "0.38"),
+        (Fraction(-1, 8), 2, "-0.12"),
+        (Fraction(-1, 10**9), 6, "-0.000000"),
+        (Fraction(0), 8, "0E-8"),
+        (Fraction(1, 3), 30, "0." + "3" * 30),
+    ],
+)
+def test_decimal_string_rounds_half_even(value, places, expected):
+    assert decimal_string(value, places) == expected
+
+
+def test_decimal_string_up_to_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    assert decimal_string(Fraction(1, 3), limit) == "0." + "3" * limit
+    for value, places in ((Fraction(10, 3), limit), (Fraction(0), limit + 1)):
+        with pytest.raises(OversizeError, match="int-to-str limit"):
+            decimal_string(value, places)
+
+
+@pytest.mark.parametrize(
+    "places, fragment",
+    [("-1", "decimal places must be nonnegative"), ("-3", "nonnegative"), ("5000", "int-to-str limit")],
+)
+def test_decimal_out_of_range_exit_4(tmp_path, places, fragment):
+    path = write(tmp_path, "cat.json", CATERPILLAR)
+    result = run_cli("solve", "--input", path, "--decimal", places)
+    assert result.returncode == 4
+    assert "domain error" in result.stderr and fragment in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["family", "--input", str(SAMPLES / "spine_constant.json"), "--tolerance", "abc"],
+        ["family", "--input", str(SAMPLES / "spine_constant.json"), "--tolerance", "1/0"],
+        ["realize", "--input", str(SAMPLES / "caterpillar.json"), "--times=1,abc"],
+        ["realize", "--input", str(SAMPLES / "caterpillar.json"), "--times=1e3"],
+    ],
+)
+def test_bad_flag_value_exit_3(args):
+    result = run_cli(*args)
+    assert result.returncode == 3
+    assert "parse error" in result.stderr and "not a rational" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_byte_identical_reruns(tmp_path):

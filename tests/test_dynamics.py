@@ -45,8 +45,7 @@ def _instance(rng, max_side=5):
 
 
 def _optimal_plan(t, minus, plus):
-    cm = cost_matrix(t, minus, plus)
-    pi, _ = solve_optimal_coupling(cm, minus, plus)
+    pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
     return lift(pi, t)
 
 
@@ -276,8 +275,7 @@ def test_moment_bound_random():
         t, minus, plus = _instance(rng)
         ff = compute_flow_field(t, minus, plus)
         moment = specific_flow_second_moment(t, ff)
-        cm = cost_matrix(t, minus, plus)
-        pi, _ = solve_optimal_coupling(cm, minus, plus)
+        pi, _ = solve_optimal_coupling(ff)
         plan = lift(pi, t)
         base = second_moment(snapshot(plan, 0, t), t)
         assert moment <= base
@@ -311,8 +309,7 @@ def test_level_snapshot_matches_aligned_plan_random():
     rng = random.Random(107)
     for _ in range(25):
         t, minus, plus = _instance(rng)
-        cm = cost_matrix(t, minus, plus)
-        pi, _ = solve_optimal_coupling(cm, minus, plus)
+        pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         plan = lift(pi, t)
         if antagonist_pairs(plan):
             continue
@@ -340,8 +337,7 @@ def test_level_snapshot_differs_from_zero_offsets_off_base_levels():
     ff = compute_flow_field(t, minus, plus)
     tf = build_time_function(t, ff)
     assert tf.vertex_time["g"] == 2
-    cm = cost_matrix(t, minus, plus)
-    pi, _ = solve_optimal_coupling(cm, minus, plus)
+    pi, _ = solve_optimal_coupling(ff)
     plan = lift(pi, t)
     assert not antagonist_pairs(plan)
     level0 = flow_level_snapshot(t, ff, tf, 0).snapshot
@@ -358,8 +354,7 @@ def test_reverse_plan_mirrors_snapshots_random():
     rng = random.Random(109)
     for _ in range(20):
         t, minus, plus = _instance(rng)
-        cm = cost_matrix(t, minus, plus)
-        pi, _ = solve_optimal_coupling(cm, minus, plus)
+        pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         plan = lift(pi, t)
         reversed_plan = reverse_plan(plan, t)
         nm, np_ = plan_marginals(reversed_plan)
@@ -374,17 +369,18 @@ def test_reverse_plan_mirrors_snapshots_random():
 def test_verify_geodesic_optimal(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     plan = _optimal_plan(caterpillar, minus, plus)
-    report = verify_geodesic(plan, caterpillar, [-1, 0, 1, 3])
+    report = verify_geodesic(plan, compute_flow_field(caterpillar, minus, plus), [-1, 0, 1, 3])
     assert report.passed
     for r, s, value, expected, ok in report.speed_checks:
         assert ok and value == (s - r) ** 2
 
 
-def test_verify_geodesic_bad_plan(caterpillar):
+def test_verify_geodesic_bad_plan(caterpillar, caterpillar_measures):
+    minus, plus = caterpillar_measures
     bad = lift(
         Coupling({("A", "D"): Fraction(1, 2), ("C", "B"): Fraction(1, 2)}), caterpillar
     )
-    report = verify_geodesic(bad, caterpillar, [-1, 1])
+    report = verify_geodesic(bad, compute_flow_field(caterpillar, minus, plus), [-1, 1])
     assert not report.antagonism_free
     assert not report.tau_isometric
     # Crossing atoms can swap targets: transport is strictly cheaper
@@ -394,16 +390,30 @@ def test_verify_geodesic_bad_plan(caterpillar):
     assert value == 2 and expected == 4 and not ok
 
 
+def _single_atom(t):
+    ff = compute_flow_field(t, BoundaryMeasure({"A": 1}), BoundaryMeasure({"D": 1}))
+    return lift(Coupling({("A", "D"): Fraction(1)}), t), ff
+
+
 def test_verify_geodesic_single_atom(caterpillar):
-    plan = lift(Coupling({("A", "D"): Fraction(1)}), caterpillar)
-    report = verify_geodesic(plan, caterpillar, [0, 2])
+    plan, ff = _single_atom(caterpillar)
+    report = verify_geodesic(plan, ff, [0, 2])
     assert report.passed
 
 
 def test_verify_geodesic_needs_two_times(caterpillar):
-    plan = lift(Coupling({("A", "D"): Fraction(1)}), caterpillar)
+    plan, ff = _single_atom(caterpillar)
     with pytest.raises(DomainError):
-        verify_geodesic(plan, caterpillar, [1])
+        verify_geodesic(plan, ff, [1])
+
+
+def test_verify_geodesic_rejects_flow_field_of_other_measures(caterpillar, caterpillar_measures):
+    # The guard check_flow_bounds has: the flows checked must be those
+    # of the plan's own marginals.
+    plan, _ = _single_atom(caterpillar)
+    other = compute_flow_field(caterpillar, *caterpillar_measures)
+    with pytest.raises(DomainError, match="marginals"):
+        verify_geodesic(plan, other, [0, 1])
 
 
 def test_verify_geodesic_random_optimal():
@@ -411,7 +421,8 @@ def test_verify_geodesic_random_optimal():
     for _ in range(15):
         t, minus, plus = _instance(rng)
         plan = _optimal_plan(t, minus, plus)
-        report = verify_geodesic(plan, t, [Fraction(-3, 2), 0, Fraction(1, 2), 2])
+        ff = compute_flow_field(t, minus, plus)
+        report = verify_geodesic(plan, ff, [Fraction(-3, 2), 0, Fraction(1, 2), 2])
         assert report.passed
 
 

@@ -1,4 +1,4 @@
-"""Exit-code contract under mutated input files.
+"""Exit-code contract under mutated input files and flag values.
 
 Every subcommand must end with 0 (ok), 2 (invalid instance), 3 (parse
 error) or 4 (domain error), whatever the input file holds; an exception
@@ -6,8 +6,11 @@ escaping ``cli.main`` is a bug.  The inputs are valid instance and
 family files with one to three random mutations each (a node replaced
 by a random JSON value, by a value of another JSON type or by a copy of
 another node, a key or item deleted, a key or item added).  Numbers stay small so that a mutated
-family runs in milliseconds.  The search is derandomized, so every run
-replays the same examples.
+family runs in milliseconds.  A third test keeps the sample files and
+draws the values of ``--decimal``, ``--tolerance``, ``--times`` and
+``--max-level`` instead; argparse's own refusals end in ``SystemExit``,
+whose code counts as the exit code.  The search is derandomized, so
+every run replays the same examples.
 """
 
 import contextlib
@@ -170,3 +173,45 @@ def test_mutated_instances_keep_the_exit_contract(tmp_path_factory, doc):
 @given(doc=mutated(FAMILIES))
 def test_mutated_families_keep_the_exit_contract(tmp_path_factory, doc):
     _run_all(tmp_path_factory.getbasetemp(), doc)
+
+
+FLAG_INPUTS = {
+    "instance": [
+        str(SAMPLES / name)
+        for name in ("caterpillar.json", "caterpillar_crossed.json", "tripod.json")
+    ],
+    "family": [str(SAMPLES / "spine_constant.json"), str(SAMPLES / "spine_geometric.json")],
+}
+rationals = st.sampled_from(WORDS + ["1/1000", "-1/2", "7/3", "0.25", "1e3", "2E-1", " 1", "x/y"])
+# --decimal and --max-level are argparse integers: words test its refusal.
+decimals = st.integers(-3, 45) | st.sampled_from([4300, 4301, 10**9]) | st.sampled_from(WORDS)
+levels = st.integers(-2, 30) | st.sampled_from(["abc", "", "2.5"])
+times = st.lists(rationals | st.integers(-5, 5), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def flagged_command(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    kind = "family" if command == "family" else "instance"
+    argv = [command, "--input", draw(st.sampled_from(FLAG_INPUTS[kind]))]
+    flags = [("--decimal", decimals)]
+    if command == "realize":
+        flags.append(("--times", times))
+    if command == "family":
+        flags += [("--tolerance", rationals), ("--max-level", levels)]
+    for name, values in flags:
+        if draw(st.booleans()):
+            argv.append(f"{name}={draw(values)}")
+    return argv
+
+
+@fuzz(200)
+@given(argv=flagged_command())
+def test_flag_values_keep_the_exit_contract(tmp_path_factory, argv):
+    output = str(tmp_path_factory.getbasetemp() / "flags.out")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main([*argv, "--output", output])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in CONTRACT, f"{argv} exited {code}"

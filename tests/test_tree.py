@@ -8,6 +8,7 @@ from wassertree import (
     DomainError,
     INFINITY,
     MetricTree,
+    StructureError,
     TreePoint,
     canonicalize,
     dist,
@@ -126,6 +127,39 @@ def test_canonicalize_keeps_degree_two_base():
     assert report.valid
     assert any("degree 2" in w for w in report.warnings)
     assert out.base_is_degree_two
+
+
+# Each input below has a degree-2 vertex "a" (so it is not canonical)
+# and one structural defect, which canonicalize refuses with the same
+# violation validate_tree reports.
+_PATH = dict(
+    vertices=["v0", "a", "v1"],
+    edges=[("v0", "a", 1), ("a", "v1", 1)],
+    ends=[("A", "v0"), ("B", "v0"), ("C", "v1"), ("D", "v1")],
+    base="v0",
+)
+
+
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"edges": [("v0", "a", 1), ("a", "v1", 1), ("v1", "v0", 1)]}, "not acyclic"),
+        ({"vertices": ["v0", "a", "v1", "w"]}, "not connected"),
+        ({"edges": [("v0", "a", 1), ("a", "v1", 1), ("v1", "v1", 1)]}, "self-loop"),
+        ({"edges": [("v0", "a", 0), ("a", "v1", 1)]}, "non-positive length"),
+        ({"base": "nowhere"}, "base vertex 'nowhere' is not a vertex"),
+        ({"ends": [("A", "v0")]}, "fewer than 2 ends"),
+        ({"ends": [("A", "v0"), ("A", "v1"), ("C", "v1")]}, "duplicate end ids"),
+        ({"ends": [("A", "v0"), ("B", "v0"), ("C", "x")]}, "attaches to unknown vertex"),
+    ],
+)
+def test_canonicalize_refuses_structural_violations(change, fragment):
+    t = MetricTree(**{**_PATH, **change})
+    report = validate_tree(t)
+    assert not report.valid and any(fragment in v for v in report.violations)
+    with pytest.raises(StructureError, match=fragment) as raised:
+        canonicalize(t)
+    assert str(raised.value) == "; ".join(report.violations)
 
 
 def test_canonicalize_idempotent_random():

@@ -14,7 +14,6 @@ import pytest
 
 from wassertree import (
     BoundaryMeasure,
-    CostMatrix,
     DomainError,
     FamilySpec,
     brute_force_value,
@@ -27,12 +26,12 @@ from wassertree import (
     solve_optimal_coupling,
     specific_flow_second_moment,
 )
-from wassertree import dynamics, lp, transport
+from wassertree import cli, dynamics, flows, lp, realizability, transport
 from wassertree.dynamics import _snapshot_transport_value
 from wassertree.lp import solve_transportation
 
 from gen import random_measures, random_tree
-from test_acceptance import _instances
+from test_acceptance import SAMPLES, _instances
 
 SPINES = {
     "constant": FamilySpec(
@@ -70,7 +69,7 @@ def test_greedy_equals_lex_simplex():
     instances = _random_instances(seed=20261017, count=1000)
     for idx, (t, minus, plus) in enumerate(instances):
         cm = cost_matrix(t, minus, plus)
-        pi, value = solve_optimal_coupling(cm, minus, plus)
+        pi, value = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         atoms, lp_value = _lex_simplex(cm, minus, plus)
         assert pi.atoms == atoms, f"instance {idx}: coupling differs"
         assert value == lp_value, f"instance {idx}: value {value} != {lp_value}"
@@ -80,7 +79,7 @@ def test_closed_form_equals_greedy_oracle_and_moment():
     for idx, (t, minus, plus) in enumerate(_random_instances(seed=31337, count=200)):
         cm = cost_matrix(t, minus, plus)
         value = optimal_value(t, minus, plus)
-        assert value == solve_optimal_coupling(cm, minus, plus)[1], f"instance {idx}"
+        assert value == solve_optimal_coupling(compute_flow_field(t, minus, plus))[1], f"instance {idx}"
         moment = specific_flow_second_moment(t, compute_flow_field(t, minus, plus))
         assert value == -moment, f"instance {idx}"
         if len(minus.support) <= 7 and len(plus.support) <= 7:
@@ -132,13 +131,39 @@ def test_decide_and_family_never_call_lp(monkeypatch):
         family_analyze(spec, 12, Fraction(1, 1000))
 
 
-def test_greedy_needs_the_tree(caterpillar, caterpillar_measures):
-    minus, plus = caterpillar_measures
-    cm = cost_matrix(caterpillar, minus, plus)
-    bare = CostMatrix(rows=cm.rows, cols=cm.cols, values=cm.values)
-    assert bare == cm
-    with pytest.raises(DomainError):
-        solve_optimal_coupling(bare, minus, plus)
+def test_no_cost_table_and_one_flow_field_per_decide(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cost table built on a production path")
+
+    monkeypatch.setattr(transport, "cost_matrix", refuse)
+    monkeypatch.setattr(transport.CostMatrix, "__init__", refuse)
+    fields, passes = [], []
+
+    def counted_field(*args):
+        fields.append(args)
+        return compute_flow_field(*args)
+
+    below_sums = flows._below_sums
+
+    def counted_pass(*args):
+        passes.append(args)
+        return below_sums(*args)
+
+    monkeypatch.setattr(realizability, "compute_flow_field", counted_field)
+    monkeypatch.setattr(flows, "_below_sums", counted_pass)
+    for t, minus, plus in _random_instances(seed=4712, count=20):
+        fields.clear()
+        passes.clear()
+        report = decide(t, minus, plus)
+        assert report.geodesic.passed and report.lp_value == -report.flow_moment
+        # One flow field, and one bottom-up pass for all of decide.
+        assert len(fields) == 1 and len(passes) == 1
+    out = str(tmp_path / "out.json")
+    for name in ("caterpillar.json", "caterpillar_crossed.json", "tripod.json"):
+        for command in ("solve", "realize"):
+            assert cli.main([command, "--input", str(SAMPLES / name), "--output", out]) == 0
+    crossed = str(SAMPLES / "caterpillar_crossed.json")
+    assert cli.main(["check-monotone", "--input", crossed, "--output", out]) == 0
 
 
 def test_closed_form_rejects_overlapping_supports(caterpillar):

@@ -4,8 +4,8 @@ The package decides when two finitely supported probability measures on
 the ends of a metric tree are the two ends of a complete unit-speed
 geodesic in the quadratic Wasserstein space over the tree, and builds
 that geodesic explicitly: edge flows, the Gromov-product transport
-problem solved in exact rational arithmetic, uncrossing, canonical
-lifts, and snapshot verification.
+problem solved from those flows in exact rational arithmetic,
+uncrossing, canonical lifts, and a certificate of unit speed.
 
 Everything is computed over `fractions.Fraction`; no floating point
 enters any decision.
@@ -39,11 +39,8 @@ from .flows import (
     specific_flow_second_moment,
 )
 from .transport import (
-    CostMatrix,
     Coupling,
     MonotonicityResult,
-    brute_force_value,
-    cost_matrix,
     is_cyclically_monotone,
     optimal_value,
     solve_optimal_coupling,
@@ -108,13 +105,10 @@ __all__ = [
     "check_antipodal",
     "compute_flow_field",
     "specific_flow_second_moment",
-    "CostMatrix",
     "Coupling",
     "MonotonicityResult",
-    "cost_matrix",
     "solve_optimal_coupling",
     "optimal_value",
-    "brute_force_value",
     "is_cyclically_monotone",
     "uncross",
     "PlanAtom",

@@ -172,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_tolerance=False, needs_times=False, needs_level=False, dot=False):
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--decimal", type=int, default=None, metavar="N",
+        p.add_argument("--decimal", default=None, metavar="N",
                        help="add N-digit decimal renderings next to fractions")
         if needs_times:
             p.add_argument("--times", default="",
                            help="comma-separated rational times; use the = form "
                                 "for negative values, e.g. --times=-1,0,1/2,3")
         if needs_level:
-            p.add_argument("--max-level", type=int, default=None, metavar="K")
+            p.add_argument("--max-level", default=None, metavar="K")
         if needs_tolerance:
             p.add_argument("--tolerance", default="1/1000", metavar="p/q")
         if dot:
@@ -202,10 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_integer_flags(args) -> None:
+    """Read ``--decimal`` and ``--max-level`` as integers; a malformed one is a parse error."""
+    for name in ("decimal", "max_level"):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        try:
+            setattr(args, name, int(value))
+        except ValueError as exc:
+            flag = "--" + name.replace("_", "-")
+            raise ParseError(f"{flag} must be an integer, got {value!r}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_integer_flags(args)
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -16,9 +16,8 @@ class DomainError(WassertreeError):
 class OversizeError(DomainError):
     """An input went past an explicit size cap, which the message names.
 
-    Two caps raise it: the support cap of the brute-force value oracle
-    (``transport.brute_force_value``, used only by the tests) and
-    Python's int-to-str digit limit when a fraction is rendered.
+    The cap is Python's int-to-str digit limit, met when a fraction is
+    rendered.
     """
 
 

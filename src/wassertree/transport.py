@@ -22,9 +22,8 @@ for every support size).  The uncrossing rewrite (:func:`uncross`)
 removes such opposite traversals edge by edge without ever increasing
 the objective.
 
-The cost table (:func:`cost_matrix`) serves only the independent value
-oracle (:func:`brute_force_value`, successive shortest paths in
-:mod:`wassertree.lp`) and :meth:`Coupling.value`; the tests use both.
+No route here builds a cost table or runs a general transport solver;
+the tests compare each route with such solvers by exact equality.
 """
 
 from __future__ import annotations
@@ -34,37 +33,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import DomainError, OversizeError
+from .errors import DomainError
 from .flows import BoundaryMeasure, FlowField, check_antipodal, subtree_masses
-from .lp import min_cost_transport_value
 from .rationals import parse_fraction
 from .tree import MetricTree, gromov_product
 
 __all__ = [
-    "CostMatrix",
     "Coupling",
     "MonotonicityResult",
-    "cost_matrix",
     "solve_optimal_coupling",
     "optimal_value",
-    "brute_force_value",
     "is_cyclically_monotone",
     "uncross",
 ]
-
-ORACLE_SUPPORT_CAP = 7
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Minus squared Gromov product on source-support x target-support."""
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    values: Mapping[tuple[str, str], Fraction]
-
-    def cost(self, a: str, b: str) -> Fraction:
-        return self.values[(a, b)]
 
 
 class Coupling:
@@ -90,9 +71,6 @@ class Coupling:
             right[b] = right.get(b, Fraction(0)) + mass
         return BoundaryMeasure(left), BoundaryMeasure(right)
 
-    def value(self, cm: CostMatrix) -> Fraction:
-        return sum((cm.cost(a, b) * m for (a, b), m in self.atoms.items()), Fraction(0))
-
     def transpose(self) -> "Coupling":
         return Coupling({(b, a): m for (a, b), m in self.atoms.items()})
 
@@ -102,20 +80,6 @@ class Coupling:
     def __repr__(self):
         inner = ", ".join(f"({a},{b}): {m}" for (a, b), m in sorted(self.atoms.items()))
         return f"Coupling({{{inner}}})"
-
-
-def cost_matrix(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> CostMatrix:
-    """Build the cost table over the two supports."""
-    if not check_antipodal(t, minus, plus):
-        raise DomainError("measures are not antipodal (supports intersect)")
-    rows = tuple(sorted(minus.support))
-    cols = tuple(sorted(plus.support))
-    values = {}
-    for a in rows:
-        for b in cols:
-            g = gromov_product(t, a, b)
-            values[(a, b)] = -g * g
-    return CostMatrix(rows=rows, cols=cols, values=values)
 
 
 def _path_steps(t: MetricTree, u: str, v: str) -> list[tuple[str, int]]:
@@ -154,8 +118,8 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
     Each cell gets the most any optimal coupling extending the earlier
     cells can give it, so the result is the optimal coupling whose mass
     vector, read in that order, is lexicographically greatest.  It is a
-    vertex of the polytope (at most m+n-1 atoms), the same one the
-    lexicographically perturbed simplex in :mod:`wassertree.lp` returns.
+    vertex of the polytope (at most m+n-1 atoms), the same one a
+    lexicographically perturbed transportation simplex returns.
 
     The value returned is the coupling's own cost, ``-sum m * (a|b)^2``
     over its atoms, so comparing it with ``-specific_flow_moment``
@@ -218,28 +182,6 @@ def optimal_value(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) 
         if p is not None and shared:
             total += shared * (depth[y] * depth[y] - depth[p] * depth[p])
     return -total
-
-
-def brute_force_value(
-    cm: CostMatrix, minus: BoundaryMeasure, plus: BoundaryMeasure
-) -> Fraction:
-    """Independent exact optimum, a test oracle for the tree-native routes.
-
-    Computed by successive shortest augmenting paths over the cost
-    table, sharing nothing with the flow-capped greedy of
-    :func:`solve_optimal_coupling` or the closed form of
-    :func:`optimal_value`.  ``cm`` is the table :func:`cost_matrix`
-    builds over the two supports.  Refuses supports larger than
-    ORACLE_SUPPORT_CAP per side.
-    """
-    if len(minus.support) > ORACLE_SUPPORT_CAP or len(plus.support) > ORACLE_SUPPORT_CAP:
-        raise OversizeError(
-            f"oracle refuses supports larger than {ORACLE_SUPPORT_CAP} per side"
-        )
-    supplies = [minus.mass(a) for a in cm.rows]
-    demands = [plus.mass(b) for b in cm.cols]
-    costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
-    return min_cost_transport_value(costs, supplies, demands)
 
 
 @dataclass(frozen=True)

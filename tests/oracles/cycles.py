@@ -13,7 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from wassertree.transport import CostMatrix, Coupling, MonotonicityResult
+from wassertree.transport import Coupling, MonotonicityResult
+
+from .costs import CostMatrix
 
 # Exhaustive cycle checking is factorial; above this many support atoms
 # only cycles up to PARTIAL_CYCLE_LENGTH are checked and the result is

@@ -1,13 +1,11 @@
 """Exact rational solvers for the bipartite transportation problem.
 
 On a tree the library computes transport from a flow field (see
-:mod:`wassertree.transport`), so these general solvers serve as
-differential-test oracles, over the Gromov cost tables of
-:func:`wassertree.transport.cost_matrix`.  The only production caller is
-the fallback of :func:`wassertree.dynamics.verify_geodesic` for
-snapshot pairs whose unit-speed certificate does not close; it builds
-its own table of squared distances between snapshot points.  Two algorithmically independent
-routes are provided:
+:mod:`wassertree.transport`) and certifies unit speed without solving a
+snapshot transport problem, so no library route calls these general
+solvers.  They serve as differential-test oracles, over the cost tables
+of :mod:`oracles.costs`.  Two algorithmically independent routes are
+provided:
 
 * :func:`solve_transportation` is a primal transportation simplex over
   `fractions.Fraction`.  Entering and leaving variables follow Bland's
@@ -29,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from wassertree.errors import DomainError
 
 __all__ = ["solve_transportation", "min_cost_transport_value"]
 

@@ -21,7 +21,6 @@ from wassertree import (
     StructureError,
     antagonist_pairs,
     compute_flow_field,
-    cost_matrix,
     is_cyclically_monotone,
     lift,
     solve_optimal_coupling,
@@ -30,6 +29,7 @@ from wassertree import (
 
 from gen import random_coupling, random_measures, random_tree
 from oracles import cycles
+from oracles.costs import cost_matrix
 
 
 def _strictly_violating(cm, witness, support):

@@ -359,6 +359,22 @@ def test_bad_flag_value_exit_3(args):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--input", str(SAMPLES / "caterpillar.json"), "--decimal=abc"],
+        ["validate", "--input", str(SAMPLES / "caterpillar.json"), "--decimal=1.5"],
+        ["family", "--input", str(SAMPLES / "spine_constant.json"), "--max-level=2.5"],
+    ],
+    ids=["decimal-abc", "decimal-unused-by-validate", "max-level-2.5"],
+)
+def test_malformed_integer_flag_exit_3(args):
+    result = run_cli(*args)
+    assert result.returncode == 3
+    assert "parse error" in result.stderr and "must be an integer" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_byte_identical_reruns(tmp_path):
     path = write(tmp_path, "cat.json", CATERPILLAR)
     for command, extra in (

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from wassertree import (
     BoundaryMeasure,
     Coupling,
     DomainError,
+    DynamicalPlan,
     MetricTree,
     TreePoint,
     align_offsets_to_time_function,
@@ -14,10 +16,10 @@ from wassertree import (
     build_time_function,
     check_flow_bounds,
     compute_flow_field,
-    cost_matrix,
     dist,
     flow_level_snapshot,
     lift,
+    path_between_ends,
     plan_coupling,
     plan_edge_and_vertex_masses,
     plan_marginals,
@@ -32,6 +34,7 @@ from wassertree import (
 
 from gen import random_coupling, random_measures, random_tree
 from oracles import cycles
+from oracles.costs import cost_matrix, coupling_value, snapshot_transport_value
 
 
 def _instance(rng, max_side=5):
@@ -263,7 +266,7 @@ def test_second_moment_identity_random():
         pi = random_coupling(rng, minus, plus)
         plan = lift(pi, t)
         cm = cost_matrix(t, minus, plus)
-        expected = -pi.value(cm)
+        expected = -coupling_value(pi, cm)
         assert second_moment(snapshot(plan, 0, t), t) == expected
 
 
@@ -383,11 +386,34 @@ def test_verify_geodesic_bad_plan(caterpillar, caterpillar_measures):
     report = verify_geodesic(bad, compute_flow_field(caterpillar, minus, plus), [-1, 1])
     assert not report.antagonism_free
     assert not report.tau_isometric
+    assert not report.passed
     # Crossing atoms can swap targets: transport is strictly cheaper
-    # than unit speed between symmetric times.
+    # than unit speed between symmetric times.  The report carries the
+    # certificate's lower bound; the exact W2^2 comes from the oracle.
     (r, s, value, expected, ok) = report.speed_checks[0]
     assert (r, s) == (Fraction(-1), Fraction(1))
-    assert value == 2 and expected == 4 and not ok
+    assert value <= 2 and expected == 4 and not ok
+    exact = snapshot_transport_value(
+        caterpillar, snapshot(bad, r, caterpillar), snapshot(bad, s, caterpillar)
+    )
+    assert exact == 2
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda t, a: {"coords": (a.coords[0], a.coords[1] + 1)},
+        lambda t, a: {"path": path_between_ends(t, "C", "B")},
+        lambda t, a: {"coords": a.coords[:1]},
+    ],
+    ids=["shifted-coordinate", "path-of-another-pair", "truncated-coords"],
+)
+def test_verify_geodesic_refuses_malformed_atom(caterpillar, malform):
+    plan, ff = _single_atom(caterpillar)
+    (atom,) = plan.atoms
+    bad = DynamicalPlan(atoms=(dataclasses.replace(atom, **malform(caterpillar, atom)),))
+    with pytest.raises(DomainError, match="atom A->D"):
+        verify_geodesic(bad, ff, [0, 1])
 
 
 def _single_atom(t):

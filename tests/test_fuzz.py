@@ -8,21 +8,23 @@ by a random JSON value, by a value of another JSON type or by a copy of
 another node, a key or item deleted, a key or item added).  Numbers stay small so that a mutated
 family runs in milliseconds.  A third test keeps the sample files and
 draws the values of ``--decimal``, ``--tolerance``, ``--times`` and
-``--max-level`` instead; argparse's own refusals end in ``SystemExit``,
-whose code counts as the exit code.  The search is derandomized, so
-every run replays the same examples.
+``--max-level`` instead, and requires the exact code each combination
+of values calls for.  The search is derandomized, so every run replays
+the same examples.
 """
 
 import contextlib
 import copy
 import io
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wassertree import cli
+from wassertree import ParseError, cli, parse_fraction
 
 HERE = Path(__file__).parent
 SAMPLES = HERE.parent / "samples"
@@ -183,7 +185,7 @@ FLAG_INPUTS = {
     "family": [str(SAMPLES / "spine_constant.json"), str(SAMPLES / "spine_geometric.json")],
 }
 rationals = st.sampled_from(WORDS + ["1/1000", "-1/2", "7/3", "0.25", "1e3", "2E-1", " 1", "x/y"])
-# --decimal and --max-level are argparse integers: words test its refusal.
+# Words among the --decimal and --max-level values are malformed integers.
 decimals = st.integers(-3, 45) | st.sampled_from([4300, 4301, 10**9]) | st.sampled_from(WORDS)
 levels = st.integers(-2, 30) | st.sampled_from(["abc", "", "2.5"])
 times = st.lists(rationals | st.integers(-5, 5), max_size=4).map(lambda xs: ",".join(map(str, xs)))
@@ -205,6 +207,86 @@ def flagged_command(draw):
     return argv
 
 
+# Sample files with no 'coupling' section: check-monotone refuses them.
+NO_COUPLING = {
+    ("check-monotone", str(SAMPLES / name)) for name in ("caterpillar.json", "tripod.json")
+}
+
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _rational(text):
+    try:
+        return parse_fraction(text)
+    except ParseError:
+        return None
+
+
+def _rendered(argv):
+    """The exact values a run shows in decimal, read from its ``--decimal=0`` output.
+
+    Each ``<key>_decimal`` field renders the fraction under ``<key>``.
+    """
+    out = io.StringIO()
+    argv = [arg if not arg.startswith("--decimal=") else "--decimal=0" for arg in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    values = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, item in node.items():
+                if key.endswith("_decimal"):
+                    values.append(Fraction(node[key[: -len("_decimal")]]))
+                else:
+                    walk(item)
+        elif isinstance(node, list):
+            for item in node:
+                walk(item)
+
+    walk(json.loads(out.getvalue()))
+    return values
+
+
+def expected_code(argv):
+    """The exit code the contract assigns to a sample file and its flag values.
+
+    A malformed integer or rational is a parse error (3), whatever else
+    is wrong.  Then a family needs a positive tolerance and a max level
+    of at least 3 (4 otherwise).  A decimal rendering needs a
+    nonnegative number of places, and the rounded digits of every
+    rendered value must fit Python's int-to-str limit (4 otherwise).
+    """
+    command, path = argv[0], argv[2]
+    flags = dict(arg.split("=", 1) for arg in argv[3:])
+    decimal = _integer(flags.get("--decimal", "0"))
+    level = _integer(flags.get("--max-level", "3"))
+    tolerance = _rational(flags.get("--tolerance", "1/1000"))
+    times = [_rational(part) for part in flags.get("--times", "").split(",") if part.strip()]
+    if decimal is None or level is None or tolerance is None or None in times:
+        return 3
+    if command == "family" and (tolerance <= 0 or level < 3):
+        return 4
+    if (command, path) in NO_COUPLING:
+        return 4
+    if "--decimal" not in flags:
+        return 0
+    values = _rendered(argv)
+    limit = sys.get_int_max_str_digits()
+    if values and (
+        decimal < 0
+        or decimal > limit
+        or any(abs(round(v * 10**decimal)) >= 10**limit for v in values)
+    ):
+        return 4
+    return 0
+
+
 @fuzz(200)
 @given(argv=flagged_command())
 def test_flag_values_keep_the_exit_contract(tmp_path_factory, argv):
@@ -214,4 +296,4 @@ def test_flag_values_keep_the_exit_contract(tmp_path_factory, argv):
             code = cli.main([*argv, "--output", output])
         except SystemExit as exc:
             code = exc.code
-    assert code in CONTRACT, f"{argv} exited {code}"
+    assert code == expected_code(argv), f"{argv} exited {code}"

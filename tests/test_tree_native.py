@@ -1,14 +1,18 @@
 """Differential tests: the tree-native routes against the LP oracles.
 
 The flow-capped greedy, the closed-form value and the unit-speed
-certificate replaced the transportation simplex on every production
-path.  The simplex and the successive-shortest-paths solver stay in
-``wassertree.lp`` as oracles; each test here compares a fast route with
-one of them by exact equality.
+certificate replaced the transportation simplex on every route of the
+library.  The simplex and the successive-shortest-paths solver live in
+``tests/oracles/lp.py``, and the cost tables they read in
+``tests/oracles/costs.py``; each test here compares a fast route with
+one of them by exact equality.  The package itself ships none of them.
 """
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,22 +20,27 @@ from wassertree import (
     BoundaryMeasure,
     DomainError,
     FamilySpec,
-    brute_force_value,
     compute_flow_field,
-    cost_matrix,
     decide,
+    dist,
     family_analyze,
+    lift,
     optimal_value,
+    reverse_plan,
     snapshot,
     solve_optimal_coupling,
     specific_flow_second_moment,
+    verify_geodesic,
+    with_offsets,
 )
-from wassertree import cli, dynamics, flows, lp, realizability, transport
-from wassertree.dynamics import _snapshot_transport_value
-from wassertree.lp import solve_transportation
+from wassertree import cli, flows, realizability, transport, tree
 
-from gen import random_measures, random_tree
+from gen import random_coupling, random_measures, random_tree
+from oracles.costs import brute_force_value, cost_matrix, snapshot_transport_value
+from oracles.lp import solve_transportation
 from test_acceptance import SAMPLES, _instances
+
+PACKAGE = Path(tree.__file__).parent
 
 SPINES = {
     "constant": FamilySpec(
@@ -106,23 +115,82 @@ def test_certified_speed_checks_equal_snapshot_lp():
         report = decide(t, minus, plus, sample_times=times)
         assert len(report.geodesic.speed_checks) == 10
         for r, s, value, _expected, _ok in report.geodesic.speed_checks:
-            oracle = _snapshot_transport_value(
+            oracle = snapshot_transport_value(
                 t, snapshot(report.plan, r, t), snapshot(report.plan, s, t)
             )
             assert value == oracle, f"instance {idx}: W2^2({r},{s})"
 
 
-def test_decide_and_family_never_call_lp(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("LP called on a production path")
+def _non_geodesic_plans(seed, count):
+    """Lifts of random couplings: some shifted by random offsets, some reversed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = random_tree(rng, max_internal=rng.choice((3, 6)))
+        try:
+            minus, plus = random_measures(rng, t, max_side=4)
+        except ValueError:
+            continue
+        plan = lift(random_coupling(rng, minus, plus), t)
+        route = rng.randrange(4)
+        if route & 1:
+            plan = with_offsets(
+                plan, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in plan.atoms]
+            )
+        if route & 2:
+            plan, minus, plus = reverse_plan(plan, t), plus, minus
+        out.append((t, plan, compute_flow_field(t, minus, plus)))
+    return out
 
-    for module, name in (
-        (lp, "solve_transportation"),
-        (lp, "min_cost_transport_value"),
-        (dynamics, "solve_transportation"),
-        (transport, "min_cost_transport_value"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+
+def test_speed_certificate_brackets_snapshot_lp():
+    times = [Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(2)]
+    uncertified = exact_anyway = 0
+    for idx, (t, plan, ff) in enumerate(_non_geodesic_plans(seed=909090, count=250)):
+        report = verify_geodesic(plan, ff, times)
+        unit_speed = True
+        for r, s, value, expected, ok in report.speed_checks:
+            oracle = snapshot_transport_value(t, snapshot(plan, r, t), snapshot(plan, s, t))
+            where = f"plan {idx}: W2^2({r},{s})"
+            assert value <= oracle <= expected, where
+            assert not ok or oracle == expected, where
+            # The upper bound the certificate takes in closed form.
+            upper = sum(
+                (a.mass * dist(t, a.position(r, t), a.position(s, t)) ** 2 for a in plan.atoms),
+                Fraction(0),
+            )
+            assert upper == expected == (s - r) ** 2, where
+            unit_speed = unit_speed and oracle == expected
+            if not ok:
+                uncertified += 1
+                exact_anyway += oracle == expected
+        assert report.passed == (
+            report.antagonism_free and report.tau_isometric and unit_speed
+        ), f"plan {idx}"
+    assert uncertified >= 50 and exact_anyway >= 50, (uncertified, exact_anyway)
+
+
+def test_package_ships_no_general_solver(monkeypatch):
+    assert importlib.util.find_spec("wassertree.lp") is None
+    banned = (
+        "solve_transportation",
+        "min_cost_transport_value",
+        "cost_matrix",
+        "CostMatrix",
+        "brute_force_value",
+        "oracles",
+    )
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        named = [word for word in banned if word in text]
+        assert not named, f"{path.name} names {named}"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tree distance computed on a production path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wassertree" and getattr(module, "dist", None) is tree.dist:
+            monkeypatch.setattr(module, "dist", refuse)
     for t, minus, plus in _random_instances(seed=4711, count=50):
         report = decide(t, minus, plus)
         assert report.geodesic.passed
@@ -132,11 +200,7 @@ def test_decide_and_family_never_call_lp(monkeypatch):
 
 
 def test_no_cost_table_and_one_flow_field_per_decide(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("cost table built on a production path")
-
-    monkeypatch.setattr(transport, "cost_matrix", refuse)
-    monkeypatch.setattr(transport.CostMatrix, "__init__", refuse)
+    assert not hasattr(transport, "cost_matrix") and not hasattr(transport, "CostMatrix")
     fields, passes = [], []
 
     def counted_field(*args):

@@ -11,13 +11,15 @@ flows (and the comparison between the two), antagonism detection, the
 piecewise-isometric time function attached to a flow field, snapshots
 of a plan at any rational time, and a verifier that certifies unit
 speed in the quadratic Wasserstein metric by two closed-form bounds,
-with no transport problem solved.  The comparison and the verifier take
-the flow field of the plan's marginals from the caller and refuse one
-built from other measures.
+with no transport problem solved and nothing read beyond the atoms'
+paths.  The comparison and the verifier take the flow field of the
+plan's marginals from the caller and refuse one built from other
+measures.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -30,7 +32,7 @@ from .flows import (
     BoundaryMeasure,
     FlowField,
 )
-from .transport import Coupling
+from .transport import Coupling, _crossings
 from .tree import GeodesicPath, MetricTree, TreePoint, dist, path_between_ends
 
 __all__ = [
@@ -172,25 +174,42 @@ def antagonist_pairs(plan: DynamicalPlan):
 
     The witness is ``("edge", (u, v))`` for a finite edge or
     ``("ray", end_id)`` when one atom enters through the end the other
-    leaves by (impossible for plans over antipodal measures).
+    leaves by (impossible for plans over antipodal measures).  Pairs
+    come as ``(i, j, witness)`` with ``i < j``, in increasing order; an
+    edge witness is the smallest shared edge ``(u, v)``, ``u < v``, and
+    a ray witness names atom i's source before its target.
+
+    Each atom's path is read as ``(edge, sign)`` steps, the edge as
+    ``(u, v)`` with ``u < v`` and the sign telling which way the atom
+    takes it, and one index of the steps (the one behind
+    :func:`~wassertree.transport.is_cyclically_monotone`) lists every
+    pair sharing an edge the opposite way; two more indices, of the
+    atoms by source and by target end, list the ray pairs.  So the work
+    is linear in the atoms' paths plus the number of pairs reported.
     """
-    oriented = []
-    for a in plan.atoms:
-        oriented.append(frozenset(a.path.edges))
+    atoms = plan.atoms
+    paths = [
+        [((u, v), 1) if u < v else ((v, u), -1) for (u, v) in a.path.edges]
+        for a in atoms
+    ]
+    by_source: dict[str, list[int]] = {}
+    by_target: dict[str, list[int]] = {}
+    for j, a in enumerate(atoms):
+        by_source.setdefault(a.source, []).append(j)
+        by_target.setdefault(a.target, []).append(j)
     results = []
-    for i in range(len(plan.atoms)):
-        for j in range(i + 1, len(plan.atoms)):
-            ai, aj = plan.atoms[i], plan.atoms[j]
-            shared = sorted(
-                (min(u, v), max(u, v))
-                for (u, v) in oriented[i]
-                if (v, u) in oriented[j]
-            )
-            if shared:
-                results.append((i, j, ("edge", shared[0])))
-            elif ai.source == aj.target:
+    for i, shared in _crossings(paths):
+        ai = atoms[i]
+        partners = set(shared)
+        for j in (*by_target.get(ai.source, ()), *by_source.get(ai.target, ())):
+            if j > i:
+                partners.add(j)
+        for j in sorted(partners):
+            if j in shared:
+                results.append((i, j, ("edge", min(shared[j]))))
+            elif ai.source == atoms[j].target:
                 results.append((i, j, ("ray", ai.source)))
-            elif ai.target == aj.source:
+            else:
                 results.append((i, j, ("ray", ai.target)))
     return results
 
@@ -545,6 +564,10 @@ class GeodesicReport:
         return self.antagonism_free and self.tau_isometric and self.speed_ok
 
 
+def _sign(x: Fraction) -> int:
+    return 1 if x > 0 else -1 if x < 0 else 0
+
+
 def _require_well_formed(plan: DynamicalPlan, t: MetricTree) -> None:
     """Refuse an atom whose coords are not arc length along its ends' geodesic."""
     for a in plan.atoms:
@@ -580,7 +603,18 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     (s - r)^2``, an upper bound that needs no distance computed.  The
     time function tau has slope -1, 0 or +1 everywhere, so it is
     1-Lipschitz and W2 >= W1 >= |E_s[tau] - E_r[tau]| for the two
-    probability snapshots, a lower bound.  Each speed check is
+    probability snapshots, a lower bound.  Along an atom, tau has slope
+    ``-sgn(end_flow[source])`` on the source ray, ``sgn(flow(tail,
+    head))`` on each path edge and ``sgn(end_flow[target])`` on the
+    target ray, the flows that (b) reads anyway; so tau at the atom's
+    position is the integral of those slopes over its coords, up to a
+    constant per atom that cancels in ``E_s[tau] - E_r[tau]``.  A
+    tau-isometric atom contributes ``m * r``; any other one
+    reads prefix sums of its slopes at its path vertices and bisects its
+    coords once per sample time.  No time function over the tree, no
+    position and no tree point is built, so the check costs time linear
+    in the atoms' paths, and (a) is linear in them too (see
+    :func:`antagonist_pairs`).  Each speed check is
     ``(r, s, value, expected, ok)`` with ``value`` the lower bound,
     ``expected = (s - r)^2`` and ``ok`` telling whether the bounds meet,
     i.e. whether unit speed is certified.  When they do not, the exact
@@ -597,25 +631,54 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     _require_well_formed(plan, t)
     pairs = antagonist_pairs(plan)
 
+    # Along each atom, tau has slope sgn(flow) in the atom's direction on
+    # every edge and ray.  A tau-isometric atom (all slopes +1) is at
+    # tau = r up to a constant per atom; the others keep their slopes
+    # and the integral of them at each path vertex.  The plan carries
+    # the mass of ff.minus, which is 1.
     tau_failures = []
+    straight_mass = Fraction(1)
+    bent = []
     for idx, a in enumerate(plan.atoms):
-        for (tail, head) in a.path.edges:
-            if ff.flow(tail, head) <= 0:
-                tau_failures.append((idx, ("edge", (tail, head))))
-        if ff.end_flow[a.source] >= 0:
+        edges = a.path.edges
+        flows = [ff.flow(tail, head) for tail, head in edges]
+        enter, leave = ff.end_flow[a.source], ff.end_flow[a.target]
+        if enter < 0 < leave and all(f > 0 for f in flows):
+            continue
+        tau_failures.extend((idx, ("edge", e)) for e, f in zip(edges, flows) if f <= 0)
+        if enter >= 0:
             tau_failures.append((idx, ("ray", a.source)))
-        if ff.end_flow[a.target] <= 0:
+        if leave <= 0:
             tau_failures.append((idx, ("ray", a.target)))
+        straight_mass -= a.mass
+        slopes = [_sign(f) for f in flows]
+        coords = a.coords
+        prefix = [Fraction(0)]
+        for slope, lo, hi in zip(slopes, coords, coords[1:]):
+            prefix.append(prefix[-1] + slope * (hi - lo))
+        bent.append((a, -_sign(enter), slopes, _sign(leave), prefix))
 
-    tf = build_time_function(t, ff)
-    mean_tau = {
-        r: sum((a.mass * tf.at_point(t, a.position(r, t)) for a in plan.atoms), Fraction(0))
-        for r in times
-    }
+    def mean_tau(r: Fraction) -> Fraction:
+        """E_r[tau] less the sum of the per-atom constants."""
+        total = straight_mass * r
+        for a, enter_slope, slopes, leave_slope, prefix in bent:
+            c = r + a.time_offset
+            coords = a.coords
+            if c <= coords[0]:
+                tau = enter_slope * (c - coords[0])
+            elif c >= coords[-1]:
+                tau = prefix[-1] + leave_slope * (c - coords[-1])
+            else:
+                k = bisect_left(coords, c)
+                tau = prefix[k - 1] + slopes[k - 1] * (c - coords[k - 1])
+            total += a.mass * tau
+        return total
+
+    means = {r: mean_tau(r) for r in times}
     speed_checks = []
     for i, r in enumerate(times):
         for s in times[i + 1 :]:
-            value = (mean_tau[s] - mean_tau[r]) ** 2
+            value = (means[s] - means[r]) ** 2
             expected = (s - r) ** 2
             speed_checks.append((r, s, value, expected, value == expected))
 

@@ -121,35 +121,80 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
     vertex of the polytope (at most m+n-1 atoms), the same one a
     lexicographically perturbed transportation simplex returns.
 
+    Only the paths the coupling can use are read.  A residual flow is
+    read from ``ff`` the first time a path crosses its edge.  Per row,
+    the source climbs from its attach vertex while the residual flow
+    toward the base is positive, up to a top ``h``; a target outside
+    ``h``'s subtree (its preorder interval) would have to climb past
+    ``h`` against no flow, so its cell gets nothing and is skipped
+    without walking its path.  ``h`` is recomputed after each loaded
+    cell, and the row stops once its supply is placed.  Skipped cells
+    are exactly those the full walk would load with nothing, so the
+    coupling does not depend on the pruning.
+
     The value returned is the coupling's own cost, ``-sum m * (a|b)^2``
     over its atoms, so comparing it with ``-specific_flow_moment``
     checks the greedy.
     """
     t, minus, plus = ff.tree, ff.minus, ff.plus
-    parent = t._root().parent
-    # residual[y]: remaining flow from parent(y) into y.
-    residual = {y: ff.flow(p, y) for y, p in parent.items() if p is not None}
-    supply = dict(minus.atoms)
+    index = t._root()
+    parent, pos, stop = index.parent, index.pos, index.stop
+    # residual[y]: remaining flow from parent(y) into y, once read.
+    residual: dict[str, Fraction] = {}
+
+    def read(y: str) -> Fraction:
+        r = residual[y] = ff.flow(parent[y], y)
+        return r
+
+    def reach_top(x: str) -> str:
+        while True:
+            p = parent[x]
+            if p is None:
+                return x
+            r = residual[x] if x in residual else read(x)
+            if r >= 0:
+                return x
+            x = p
+
     demand = dict(plus.atoms)
+    cols = [(b, t.attach(b)) for b in sorted(plus.atoms)]
     atoms: dict[tuple[str, str], Fraction] = {}
-    cols = sorted(plus.atoms)
     for a in sorted(minus.atoms):
-        for b in cols:
-            q = min(supply[a], demand[b])
-            if q == 0:
+        x = t.attach(a)
+        left = minus.atoms[a]
+        top = reach_top(x)
+        lo, hi = pos[top], stop[top]
+        for b, y_b in cols:
+            if not lo <= pos[y_b] < hi:
                 continue
-            steps = _path_steps(t, t.attach(a), t.attach(b))
+            need = demand[b]
+            if not need:
+                continue
+            q = left if left < need else need
+            steps = _path_steps(t, x, y_b)
             for y, sign in steps:
-                q = min(q, sign * residual[y])
+                r = residual[y] if y in residual else read(y)
+                cap = r if sign > 0 else -r
+                if cap < q:
+                    q = cap
+                    if q <= 0:
+                        break
             if q <= 0:
                 continue
             for y, sign in steps:
-                residual[y] -= sign * q
-            supply[a] -= q
-            demand[b] -= q
+                if sign > 0:
+                    residual[y] -= q
+                else:
+                    residual[y] += q
+            left -= q
+            demand[b] = need - q
             atoms[(a, b)] = q
-    if any(supply.values()):
-        raise DomainError("flow-capped greedy left supply unplaced")
+            if not left:
+                break
+            top = reach_top(x)
+            lo, hi = pos[top], stop[top]
+        if left:
+            raise DomainError("flow-capped greedy left supply unplaced")
     coupling = Coupling(atoms)
     value = Fraction(0)
     for (a, b), m in coupling.atoms.items():
@@ -208,9 +253,10 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     On a tree a coupling is cyclically monotone for the Gromov cost
     exactly when no two of its pairs are antagonists, i.e. traverse some
     edge in opposite directions.  Each support atom's path is read as
-    ``(child, sign)`` steps (:func:`_path_steps`); the result is the
-    lexicographically first pair ``i < j`` of the sorted support whose
-    steps share a child with opposite signs, and the witness is
+    ``(child, sign)`` steps (:func:`_path_steps`), and one index of
+    those steps (:func:`_crossings`) finds the lexicographically first
+    pair ``i < j`` of the sorted support whose steps share a child with
+    opposite signs; the witness is
     ``(support[i], support[j])``.  With no such pair the coupling is
     monotone.  The verdict is exact for every support size, so
     ``exhaustive`` is always True.
@@ -235,21 +281,35 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     if {a for a, _ in support} & {b for _, b in support}:
         raise DomainError("coupling source and target ends overlap")
     paths = [_path_steps(t, t.attach(a), t.attach(b)) for a, b in support]
-    # crossers[(child, sign)]: indices of the atoms taking that step, increasing.
-    crossers: dict[tuple[str, int], list[int]] = {}
+    for i, shared in _crossings(paths):
+        if shared:
+            return MonotonicityResult(False, (support[i], support[min(shared)]), True)
+    return MonotonicityResult(True, None, True)
+
+
+def _crossings(paths):
+    """Opposite traversals among paths, one path at a time.
+
+    ``paths[i]`` lists path i's steps as ``(edge, sign)`` pairs, the
+    sign telling which way the edge is taken.  One index maps each step
+    to the increasing indices of the paths that take it.  For each
+    ``i`` in increasing order this yields ``(i, shared)``, where
+    ``shared`` maps every ``j > i`` whose path takes some edge of path
+    ``i`` the other way to those edges, in path ``i``'s order.  The work
+    is linear in the total path length plus the number of crossings.
+    """
+    crossers: dict[tuple, list[int]] = {}
     for i, steps in enumerate(paths):
         for step in steps:
             crossers.setdefault(step, []).append(i)
     for i, steps in enumerate(paths):
-        partners = []
-        for child, sign in steps:
-            opposite = crossers.get((child, -sign), ())
-            k = bisect_right(opposite, i)
-            if k < len(opposite):
-                partners.append(opposite[k])
-        if partners:
-            return MonotonicityResult(False, (support[i], support[min(partners)]), True)
-    return MonotonicityResult(True, None, True)
+        shared: dict[int, list] = {}
+        for edge, sign in steps:
+            opposite = crossers.get((edge, -sign))
+            if opposite:
+                for j in opposite[bisect_right(opposite, i) :]:
+                    shared.setdefault(j, []).append(edge)
+        yield i, shared
 
 
 def uncross(pi: Coupling, t: MetricTree) -> Coupling:

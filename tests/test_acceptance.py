@@ -36,7 +36,7 @@ from wassertree import (
 )
 
 from gen import random_coupling, random_measures, random_tree
-from oracles import cycles
+from oracles import antagonism, cycles
 from oracles.costs import brute_force_value, cost_matrix, coupling_value
 from oracles.lp import solve_transportation
 
@@ -150,7 +150,7 @@ def test_criterion_4_monotonicity_equivalence():
         for k in range(100):
             pi = random_coupling(rng, minus, plus)
             monotone = cycles.is_cyclically_monotone(pi, cm).monotone
-            free = not antagonist_pairs(lift(pi, t))
+            free = not antagonism.antagonist_pairs(lift(pi, t))
             scan = is_cyclically_monotone(pi, t).monotone
             if not monotone == free == scan:
                 failures.append(

@@ -4,8 +4,8 @@
 scanning the pairs' paths for opposite traversals of a common edge.  It
 is compared here with the permutation enumerator it replaced
 (``tests/oracles/cycles.py``, exhaustive up to 8 support atoms) and, on
-larger supports, with ``dynamics.antagonist_pairs`` over the lifted plan
-and with ``uncross``.
+larger supports, with the all-pairs antagonism loop over the lifted plan
+(``tests/oracles/antagonism.py``) and with ``uncross``.
 """
 
 import random
@@ -19,7 +19,6 @@ from wassertree import (
     DomainError,
     MetricTree,
     StructureError,
-    antagonist_pairs,
     compute_flow_field,
     is_cyclically_monotone,
     lift,
@@ -28,7 +27,7 @@ from wassertree import (
 )
 
 from gen import random_coupling, random_measures, random_tree
-from oracles import cycles
+from oracles import antagonism, cycles
 from oracles.costs import cost_matrix
 
 
@@ -91,7 +90,7 @@ def test_scan_matches_antagonist_pairs_9_to_20_atoms():
         result = is_cyclically_monotone(pi, t)
         assert result.exhaustive
         support = sorted(pi.atoms)
-        pairs = antagonist_pairs(lift(pi, t))
+        pairs = antagonism.antagonist_pairs(lift(pi, t))
         assert result.monotone == (not pairs)
         if pairs:
             violated += 1

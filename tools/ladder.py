@@ -1,0 +1,175 @@
+"""Seeded ``decide`` ladder: stage times and denominator sizes per rung.
+
+Each rung is a random tree with a given number of internal vertices and
+two disjoint point-mass supports of a given size (atoms a side), built
+from one fixed seed.  ``decide`` is run stage by stage (validate and
+root, flows, solve with the moment, lift, verify) and also end to end,
+each on a freshly built tree, ``--repeats`` times; the median of each
+time is kept.  The
+row also records the largest denominator bit-length among the flows,
+the coupling, the value, the moment and the speed checks.
+
+    python3 tools/ladder.py --label change --out BENCH_8.json
+    python3 tools/ladder.py --src ../parent/src --label parent --out BENCH_8.json
+    python3 tools/ladder.py --rungs 50/10 --repeats 1 --label smoke --out ladder.json
+
+The library is imported from ``--src`` (default: ``src`` beside this
+directory).  ``--out`` keeps the rows of other labels already in the
+file and replaces a row with the same label.  Times are wall seconds
+on the machine that runs the script; nothing scales them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import random
+import statistics
+import sys
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+
+SCHEMA = "wassertree-ladder/1"
+RUNGS = ("50/10", "200/40", "500/100", "2000/400")
+SEED = 7
+STAGES = ("validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s")
+
+
+def instance(vertices: int, atoms: int, seed: int):
+    """Raw tree data and two disjoint measures of ``atoms`` ends each.
+
+    The backbone attaches vertex i to a uniform earlier vertex with a
+    random rational length; every vertex is padded with ends up to
+    degree 3, and extra ends go to random vertices until there are
+    ``2 * atoms`` of them.
+    """
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(vertices)]
+    edges = []
+    degree = dict.fromkeys(names, 0)
+    for i in range(1, vertices):
+        parent = names[rng.randrange(i)]
+        edges.append((parent, names[i], Fraction(rng.randint(1, 8), rng.randint(1, 4))))
+        degree[parent] += 1
+        degree[names[i]] += 1
+    ends = []
+    for v in names:
+        for _ in range(max(0, 3 - degree[v])):
+            ends.append((f"e{len(ends)}", v))
+    while len(ends) < 2 * atoms:
+        ends.append((f"e{len(ends)}", rng.choice(names)))
+    base = rng.choice(names)
+    chosen = rng.sample([e for e, _ in ends], 2 * atoms)
+
+    def masses(support):
+        weights = [rng.randint(1, 9) for _ in support]
+        total = sum(weights)
+        return {e: Fraction(w, total) for e, w in zip(support, weights)}
+
+    return (names, edges, ends, base), masses(chosen[:atoms]), masses(chosen[atoms:])
+
+
+def _den_bits(values) -> int:
+    return max((Fraction(x).denominator.bit_length() for x in values), default=0)
+
+
+def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
+    from wassertree.realizability import _default_times
+
+    raw, minus_atoms, plus_atoms = instance(vertices, atoms, seed)
+    minus, plus = wt.BoundaryMeasure(minus_atoms), wt.BoundaryMeasure(plus_atoms)
+    samples = {name: [] for name in (*STAGES, "decide_s")}
+    for _ in range(repeats):
+        t = wt.MetricTree(*raw)
+        clock = perf_counter()
+        t.require_valid()
+        t._root()
+        stamps = [clock, perf_counter()]
+        ff = wt.compute_flow_field(t, minus, plus)
+        stamps.append(perf_counter())
+        coupling, value = wt.solve_optimal_coupling(ff)
+        moment = wt.specific_flow_second_moment(t, ff)
+        stamps.append(perf_counter())
+        plan = wt.lift(coupling, t)
+        stamps.append(perf_counter())
+        report = wt.verify_geodesic(plan, ff, _default_times(plan))
+        stamps.append(perf_counter())
+        for name, start, end in zip(STAGES, stamps, stamps[1:]):
+            samples[name].append(end - start)
+
+        fresh = wt.MetricTree(*raw)
+        clock = perf_counter()
+        decided = wt.decide(fresh, minus, plus)
+        samples["decide_s"].append(perf_counter() - clock)
+
+    checks = [x for check in report.speed_checks for x in check[:4]]
+    bits = _den_bits(
+        [
+            *ff.edge_flow.values(),
+            *ff.end_flow.values(),
+            *ff.vertex_flow.values(),
+            *ff.specific_flow.values(),
+            *coupling.atoms.values(),
+            value,
+            moment,
+            *checks,
+        ]
+    )
+    medians = {name: statistics.median(times) for name, times in samples.items()}
+    return {
+        "vertices": vertices,
+        "atoms": atoms,
+        "seed": seed,
+        "ends": len(raw[2]),
+        "plan_atoms": len(plan.atoms),
+        "stages": {name: round(medians[name], 6) for name in STAGES},
+        "stages_total_s": round(sum(medians[name] for name in STAGES), 6),
+        "decide_s": round(medians["decide_s"], 6),
+        "max_den_bits": bits,
+        "passed": bool(
+            report.passed
+            and value == -moment
+            and decided.geodesic.passed
+            and decided.coupling == coupling
+        ),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--rungs", default=",".join(RUNGS), help="vertices/atoms, comma separated")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    sys.path.insert(0, args.src)
+    import wassertree as wt
+
+    rungs = []
+    for spec in args.rungs.split(","):
+        vertices, atoms = (int(x) for x in spec.split("/"))
+        rung = run_rung(wt, vertices, atoms, SEED, args.repeats)
+        print(json.dumps(rung), flush=True)
+        rungs.append(rung)
+
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {"schema": SCHEMA, "rows": []}
+    row = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "repeats": args.repeats,
+        "rungs": rungs,
+    }
+    data["rows"] = [r for r in data["rows"] if r["label"] != args.label] + [row]
+    out.write_text(json.dumps(data, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,10 +17,10 @@ from .dot import tree_to_dot
 from .dynamics import snapshot
 from .errors import DomainError, ParseError, StructureError
 from .flows import compute_flow_field, specific_flow_second_moment
-from .rationals import INFINITY, decimal_string, format_fraction, parse_fraction
+from .rationals import decimal_string, format_fraction, parse_fraction
 from .realizability import decide, family_analyze
 from .transport import is_cyclically_monotone, solve_optimal_coupling
-from .tree import gromov_product, validate_tree
+from .tree import validate_tree
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -28,10 +28,18 @@ EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
 
-def _write_output(text: str, path):
-    if path:
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a parse error."""
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_output(text: str, path):
+    if path:
+        _write_file(path, text)
     else:
         sys.stdout.write(text)
 
@@ -82,18 +90,26 @@ def cmd_flows(args) -> int:
 
 
 def cmd_d0(args) -> int:
+    """The Gromov product (a|b), the depth of the two ends' meet, of every pair.
+
+    One pass per source end labels every vertex with its meet; a meet's
+    depth is rendered the first time a pair needs it.
+    """
     tree, _measures, _ = serialize.load_instance(args.input)
     tree.require_valid()
+    columns: dict[str, dict] = {}
     pairs = []
     ends = sorted(tree.ends)
     for i, a in enumerate(ends):
+        meets = tree.meets_with(tree.ends[a])
         for b in ends[i + 1 :]:
-            value = gromov_product(tree, a, b)
-            assert value is not INFINITY
-            entry = {"a": a, "b": b, "d0": format_fraction(value)}
-            if args.decimal is not None:
-                entry["d0_decimal"] = decimal_string(value, args.decimal)
-            pairs.append(entry)
+            meet = meets[tree.ends[b]]
+            if meet not in columns:
+                depth = tree.depth(meet)
+                columns[meet] = {"d0": format_fraction(depth)}
+                if args.decimal is not None:
+                    columns[meet]["d0_decimal"] = decimal_string(depth, args.decimal)
+            pairs.append({"a": a, "b": b, **columns[meet]})
     _write_output(serialize.dumps({"pairs": pairs}), args.output)
     return EXIT_OK
 
@@ -137,8 +153,7 @@ def cmd_realize(args) -> int:
     _write_output(serialize.dumps(out), args.output)
     if args.dot:
         ff = report.flow_field
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(tree_to_dot(tree, ff=ff, plan=report.plan))
+        _write_file(args.dot, tree_to_dot(tree, ff=ff, plan=report.plan))
     return EXIT_OK if report.verdict == "realizable" else EXIT_DOMAIN
 
 

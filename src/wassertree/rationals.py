@@ -55,7 +55,7 @@ def format_fraction(value: Fraction) -> str:
     more digits than Python's int-to-str limit allows.
     """
     try:
-        return str(Fraction(value))
+        return str(value if isinstance(value, Fraction) else Fraction(value))
     except ValueError as exc:
         raise _oversize() from exc
 

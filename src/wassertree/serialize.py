@@ -16,12 +16,18 @@ boundary measures (key ``"measures"``) and a coupling (key
 All rationals are exact "p/q" strings, ids are strings (integers in
 input files are accepted and normalized), and every emitter sorts its
 keys so identical inputs produce byte-identical files.
+
+:func:`dumps` renders a report with its own one-pass renderer, and its
+output is byte for byte that of ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus a newline; ``tests/test_serialize.py`` checks this
+against the standard library on generated values.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .dynamics import DynamicalPlan, GeodesicReport, Snapshot
@@ -53,7 +59,47 @@ __all__ = [
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, rendered in one pass.
+
+    Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``bool`` and ``None``: every type the emitters below produce.  Any
+    other value, such as a float or a non-string key, is a
+    :class:`TypeError`.
+    """
+    return _render(obj, "") + "\n"
+
+
+def _render(value, indent: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        parts = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            # Strings, the most common values, skip the recursive call.
+            text = _quote(item) if type(item) is str else _render(item, inner)
+            parts.append(_quote(key) + ": " + text)
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        parts = [_render(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _expect(condition: bool, message: str):
@@ -121,6 +167,12 @@ def load_raw(path: str) -> dict:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested deeper than the recursion limit") from exc
+    except ValueError as exc:  # an integer past Python's int-to-str digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -170,6 +170,26 @@ class MetricTree:
                 b = parent[b]
         return a
 
+    def meets_with(self, v: str) -> dict[str, str]:
+        """``meet(v, w)`` for every vertex ``w``, in one pass over the tree.
+
+        The vertices below ``v`` meet it at ``v``.  Climbing from ``v`` to
+        the base, each ancestor ``a`` is the meet of exactly the part of
+        its preorder interval that its child's interval leaves out, so
+        the pass is linear in the tree.
+        """
+        index = self._root()
+        parent, pos, stop = index.parent, index.pos, index.stop
+        lo, hi = pos[v], stop[v]
+        labels = [v] * len(index.order)
+        a = parent[v]
+        while a is not None:
+            labels[pos[a] : lo] = [a] * (lo - pos[a])
+            labels[hi : stop[a]] = [a] * (stop[a] - hi)
+            lo, hi = pos[a], stop[a]
+            a = parent[a]
+        return dict(zip(index.order, labels))
+
     def vertex_distance(self, u: str, v: str) -> Fraction:
         depth = self._root().depth
         return depth[u] + depth[v] - 2 * depth[self.meet(u, v)]

@@ -90,6 +90,35 @@ def test_truncated_file_exit_3(tmp_path):
     assert "parse error" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (b'{"vertices": ["v\xff"]}', "not UTF-8"),
+        (b"[" * 100000 + b"]" * 100000, "recursion limit"),
+        (b'{"vertices": ' + b"7" * 5000 + b"}", "4300 digits"),
+    ],
+    ids=["not-utf8", "nested", "long-integer"],
+)
+@pytest.mark.parametrize("command", ["validate", "d0", "family"])
+def test_undecodable_input_exit_3(tmp_path, command, content, fragment):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    result = run_cli(command, "--input", str(path))
+    assert result.returncode == 3
+    assert f"parse error: {path}: " in result.stderr and fragment in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("flag", ["--output", "--dot"])
+def test_unwritable_output_exit_3(tmp_path, flag):
+    path = write(tmp_path, "cat.json", CATERPILLAR)
+    target = tmp_path / "missing" / "out"
+    result = run_cli("realize", "--input", path, flag, str(target))
+    assert result.returncode == 3
+    assert result.stderr == f"parse error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 def test_float_length_exit_3(tmp_path):
     payload = dict(CATERPILLAR)
     payload["edges"] = [{"u": "v0", "v": "v1", "len": 2.5}]

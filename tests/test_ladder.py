@@ -1,15 +1,23 @@
-"""Smoke test of the decide ladder (``tools/ladder.py``): schema only.
+"""Smoke test of the ladder (``tools/ladder.py``): shape and digests only.
 
-The smallest rung runs once and its row is checked for shape and for a
-passing witness; no time is asserted.
+The smallest rung and the CLI rung run once and the row is checked for
+shape, for a passing witness and for the CLI outputs' digests; no time
+is asserted.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).parent.parent / "tools" / "ladder.py"
+from wassertree.cli import main as cli_main
+
+ROOT = Path(__file__).parent.parent
+TOOL = ROOT / "tools" / "ladder.py"
+SPINE = ROOT / "tests" / "golden" / "inputs" / "deep_spine_200.json"
 STAGES = {"validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s"}
 
 
@@ -23,12 +31,13 @@ def test_smallest_rung_writes_a_row(tmp_path):
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+    digests = tuple(hashlib.sha256(_stdout(c).encode()).hexdigest() for c in ("d0", "flows"))
     data = json.loads(out.read_text())
     assert data["schema"] == "wassertree-ladder/1"
     # A second run with a label already in the file replaces its row.
     assert [row["label"] for row in data["rows"]] == ["second", "first"]
     for row in data["rows"]:
-        assert set(row) == {"label", "python", "repeats", "rungs"}
+        assert set(row) == {"label", "python", "repeats", "rungs", "cli"}
         (rung,) = row["rungs"]
         assert set(rung) == {
             "vertices", "atoms", "seed", "ends", "plan_atoms", "stages",
@@ -41,3 +50,15 @@ def test_smallest_rung_writes_a_row(tmp_path):
         assert isinstance(rung["decide_s"], float) and rung["decide_s"] >= 0
         assert isinstance(rung["max_den_bits"], int) and rung["max_den_bits"] > 0
         assert rung["passed"] is True
+        cli = row["cli"]
+        assert set(cli) == {"input", "d0_s", "d0_sha256", "flows_s", "flows_sha256"}
+        assert cli["input"] == "tests/golden/inputs/deep_spine_200.json"
+        assert all(isinstance(cli[k], float) and cli[k] > 0 for k in ("d0_s", "flows_s"))
+        assert (cli["d0_sha256"], cli["flows_sha256"]) == digests
+
+
+def _stdout(command: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main([command, "--input", str(SPINE)]) == 0
+    return out.getvalue()

@@ -1,4 +1,4 @@
-"""Seeded ``decide`` ladder: stage times and denominator sizes per rung.
+"""Seeded ``decide`` ladder and CLI rung: stage times and denominator sizes.
 
 Each rung is a random tree with a given number of internal vertices and
 two disjoint point-mass supports of a given size (atoms a side), built
@@ -8,6 +8,12 @@ each on a freshly built tree, ``--repeats`` times; the median of each
 time is kept.  The
 row also records the largest denominator bit-length among the flows,
 the coupling, the value, the moment and the speed checks.
+
+The CLI rung times ``wassertree d0`` and ``wassertree flows`` end to end
+on the 200-level spine ``tests/golden/inputs/deep_spine_200.json``: each
+run is a fresh interpreter (start-up, import, parse, compute, render and
+write to a file), ``--repeats`` times, median kept.  The SHA-256 of each
+output lets rows of two source trees be checked for identical bytes.
 
     python3 tools/ladder.py --label change --out BENCH_8.json
     python3 tools/ladder.py --src ../parent/src --label parent --out BENCH_8.json
@@ -22,16 +28,23 @@ on the machine that runs the script; nothing scales them.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 SCHEMA = "wassertree-ladder/1"
+ROOT = Path(__file__).resolve().parent.parent
+CLI_INPUT = "tests/golden/inputs/deep_spine_200.json"
+CLI_COMMANDS = ("d0", "flows")
 RUNGS = ("50/10", "200/40", "500/100", "2000/400")
 SEED = 7
 STAGES = ("validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s")
@@ -137,9 +150,28 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
     }
 
 
+def run_cli_rung(src: str, repeats: int) -> dict:
+    """End-to-end wall time of each CLI subcommand on the 200-level spine."""
+    env = {**os.environ, "PYTHONPATH": src}
+    rung = {"input": CLI_INPUT}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        for command in CLI_COMMANDS:
+            argv = [sys.executable, "-m", "wassertree.cli", command]
+            argv += ["--input", str(ROOT / CLI_INPUT), "--output", str(out)]
+            times = []
+            for _ in range(repeats):
+                clock = perf_counter()
+                subprocess.run(argv, env=env, check=True)
+                times.append(perf_counter() - clock)
+            rung[f"{command}_s"] = round(statistics.median(times), 6)
+            rung[f"{command}_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return rung
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--rungs", default=",".join(RUNGS), help="vertices/atoms, comma separated")
@@ -157,6 +189,8 @@ def main(argv=None) -> int:
         rung = run_rung(wt, vertices, atoms, SEED, args.repeats)
         print(json.dumps(rung), flush=True)
         rungs.append(rung)
+    cli = run_cli_rung(args.src, args.repeats)
+    print(json.dumps(cli), flush=True)
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {"schema": SCHEMA, "rows": []}
@@ -165,6 +199,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "repeats": args.repeats,
         "rungs": rungs,
+        "cli": cli,
     }
     data["rows"] = [r for r in data["rows"] if r["label"] != args.label] + [row]
     out.write_text(json.dumps(data, indent=2) + "\n")

@@ -150,10 +150,11 @@ def cmd_realize(args) -> int:
     if report.verdict == "realizable" and times:
         snapshots = [snapshot(report.plan, time, tree) for time in times]
     out = serialize.realizability_to_json(report, tree, snapshots, decimal=args.decimal)
-    _write_output(serialize.dumps(out), args.output)
+    text = serialize.dumps(out)
     if args.dot:
-        ff = report.flow_field
-        _write_file(args.dot, tree_to_dot(tree, ff=ff, plan=report.plan))
+        # Written before the report, so an unwritable path leaves no report behind.
+        _write_file(args.dot, tree_to_dot(tree, ff=report.flow_field, plan=report.plan))
+    _write_output(text, args.output)
     return EXIT_OK if report.verdict == "realizable" else EXIT_DOMAIN
 
 

@@ -105,27 +105,33 @@ class DynamicalPlan:
 
 
 def lift(pi: Coupling, t: MetricTree) -> DynamicalPlan:
-    """Canonical plan over a coupling: one atom per pair, zero offsets."""
+    """Canonical plan over a coupling: one atom per pair, zero offsets.
+
+    Each pair's vertex chain comes from the rooted index
+    (:meth:`~wassertree.tree.MetricTree.vertex_path`).  The chain climbs
+    to the meet of its two attach vertices and then descends, so its
+    point nearest the base is the vertex of least hop level, and the
+    coord of a vertex ``w`` is ``depth[w] - depth[meet]``, negated on
+    the climb: one subtraction per vertex.
+    """
     t.require_valid()
+    index = t._root()
+    depth, level = index.depth, index.level
     atoms = []
     for (a, b) in sorted(pi.atoms):
         path = path_between_ends(t, a, b)
-        depths = [t.depth(v) for v in path.vertices]
-        base_idx = depths.index(min(depths))
-        coords = [Fraction(0)] * len(path.vertices)
-        for idx in range(1, len(path.vertices)):
-            u, v = path.vertices[idx - 1], path.vertices[idx]
-            key = (u, v) if u <= v else (v, u)
-            coords[idx] = coords[idx - 1] + t.edge_length[key]
-        shift = coords[base_idx]
-        coords = tuple(c - shift for c in coords)
+        chain = path.vertices
+        levels = [level[v] for v in chain]
+        k = levels.index(min(levels))
+        top = depth[chain[k]]
+        coords = tuple([top - depth[v] for v in chain[:k]] + [depth[v] - top for v in chain[k:]])
         atoms.append(
             PlanAtom(
                 source=a,
                 target=b,
                 mass=pi.atoms[(a, b)],
                 path=path,
-                base_vertex=path.vertices[base_idx],
+                base_vertex=chain[k],
                 coords=coords,
                 time_offset=Fraction(0),
             )
@@ -568,16 +574,56 @@ def _sign(x: Fraction) -> int:
     return 1 if x > 0 else -1 if x < 0 else 0
 
 
+def _hop_lengths(a: PlanAtom, t: MetricTree) -> Optional[list[Fraction]]:
+    """The edge lengths along ``a.path``, or None unless it is the geodesic between ``a``'s ends.
+
+    Read against the rooted index in time linear in the path: the
+    path's ends are the atom's, its vertex chain runs from the source's
+    attach vertex to the target's with ``edges`` the chain's hops, and
+    every hop goes from a vertex to its parent or to a child.  The chain
+    climbs and then descends once, and does not turn back along the
+    edge it came up (``x -> parent(x) -> x``), so it is the tree path.
+    """
+    path = a.path
+    verts = path.vertices
+    if (path.source, path.target) != (a.source, a.target) or not verts:
+        return None
+    if verts[0] != t.attach(a.source) or verts[-1] != t.attach(a.target):
+        return None
+    if path.edges != tuple(zip(verts, verts[1:])):
+        return None
+    index = t._root()
+    parent, parent_len = index.parent, index.parent_len
+    lengths = []
+    descending = False
+    before = None  # the tail of the previous hop
+    for u, v in path.edges:
+        if not descending and parent.get(u) == v:
+            lengths.append(parent_len[u])
+        elif parent.get(v) == u and (descending or v != before):
+            descending = True
+            lengths.append(parent_len[v])
+        else:
+            return None
+        before = u
+    return lengths
+
+
 def _require_well_formed(plan: DynamicalPlan, t: MetricTree) -> None:
-    """Refuse an atom whose coords are not arc length along its ends' geodesic."""
+    """Refuse an atom whose coords are not arc length along its ends' geodesic.
+
+    No path is rebuilt: each atom's own path is checked hop by hop (see
+    :func:`_hop_lengths`), so the check is linear in the atoms' paths.
+    """
     for a in plan.atoms:
         name = f"atom {a.source}->{a.target}"
-        if a.path != path_between_ends(t, a.source, a.target):
+        lengths = _hop_lengths(a, t)
+        if lengths is None:
             raise DomainError(f"{name} does not follow the geodesic between its ends")
         if len(a.coords) != len(a.path.vertices):
             raise DomainError(f"{name} has {len(a.coords)} coords for {len(a.path.vertices)} vertices")
-        for (u, v), lo, hi in zip(a.path.edges, a.coords, a.coords[1:]):
-            if hi - lo != t.edge_length[(u, v) if u <= v else (v, u)]:
+        for (u, v), length, lo, hi in zip(a.path.edges, lengths, a.coords, a.coords[1:]):
+            if hi - lo != length:
                 raise DomainError(f"{name}: coords are not arc length on edge {(u, v)}")
 
 
@@ -588,7 +634,9 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     atom must be well formed: its path is the geodesic between its ends
     and its coords are arc length along that path (a
     :class:`DomainError` otherwise).  ``lift``, ``with_offsets`` and
-    ``reverse_plan`` build only such atoms.
+    ``reverse_plan`` build only such atoms.  Well-formedness is checked
+    on each atom's own path, hop by hop against the tree's rooted index;
+    no path is rebuilt.
 
     Three checks: (a) no antagonist pair of atoms; (b) the time function
     of the flow field is isometric along every supported geodesic (each
@@ -604,16 +652,17 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     time function tau has slope -1, 0 or +1 everywhere, so it is
     1-Lipschitz and W2 >= W1 >= |E_s[tau] - E_r[tau]| for the two
     probability snapshots, a lower bound.  Along an atom, tau has slope
-    ``-sgn(end_flow[source])`` on the source ray, ``sgn(flow(tail,
-    head))`` on each path edge and ``sgn(end_flow[target])`` on the
-    target ray, the flows that (b) reads anyway; so tau at the atom's
+    ``-sgn(flow_to_end(source))`` on the source ray, ``sgn(flow(tail,
+    head))`` on each path edge and ``sgn(flow_to_end(target))`` on the
+    target ray, the flows that (b) reads anyway, each read from ``ff``'s
+    sparse maps on demand; so tau at the atom's
     position is the integral of those slopes over its coords, up to a
     constant per atom that cancels in ``E_s[tau] - E_r[tau]``.  A
     tau-isometric atom contributes ``m * r``; any other one
     reads prefix sums of its slopes at its path vertices and bisects its
     coords once per sample time.  No time function over the tree, no
-    position and no tree point is built, so the check costs time linear
-    in the atoms' paths, and (a) is linear in them too (see
+    position, no tree point and no dense flow map is built, so the check
+    costs time linear in the atoms' paths, and (a) is linear in them too (see
     :func:`antagonist_pairs`).  Each speed check is
     ``(r, s, value, expected, ok)`` with ``value`` the lower bound,
     ``expected = (s - r)^2`` and ``ok`` telling whether the bounds meet,
@@ -642,7 +691,7 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     for idx, a in enumerate(plan.atoms):
         edges = a.path.edges
         flows = [ff.flow(tail, head) for tail, head in edges]
-        enter, leave = ff.end_flow[a.source], ff.end_flow[a.target]
+        enter, leave = ff.flow_to_end(a.source), ff.flow_to_end(a.target)
         if enter < 0 < leave and all(f > 0 for f in flows):
             continue
         tau_failures.extend((idx, ("edge", e)) for e, f in zip(edges, flows) if f <= 0)

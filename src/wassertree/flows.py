@@ -9,12 +9,19 @@ flow through a vertex aggregates its positive out-edges, and the
 toward the base.  The second moment of the specific flow (mass times
 squared base distance, summed over vertices) is the finiteness
 functional used by the realizability decision.
+
+A :class:`FlowField` keeps only the net subtree masses and the positive
+out-flows at charged vertices, and reads every other flow from them on
+demand; the maps over all edges, ends and vertices are built on first
+read, for the renderers and the tree-wide checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import DomainError
@@ -79,9 +86,8 @@ class BoundaryMeasure:
 
 
 def _check_measures_on_tree(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure):
-    known = set(t.ends)
     for m in (minus, plus):
-        missing = sorted(m.support - known)
+        missing = sorted(e for e in m.atoms if e not in t.ends)
         if missing:
             raise DomainError(f"measure charges ends not in the tree: {missing}")
 
@@ -91,7 +97,8 @@ def check_antipodal(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure
 
     On a tree every pair of distinct ends is joined by a geodesic, so
     disjoint supports are exactly the antipodal pairs of discrete
-    measures.
+    measures.  The supports are checked against the tree's ends one
+    atom at a time, so the check is linear in the supports.
     """
     t.require_valid()
     _check_measures_on_tree(t, minus, plus)
@@ -102,35 +109,148 @@ def check_antipodal(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure
 class FlowField:
     """Edge and vertex flows induced by an antipodal pair of measures.
 
-    ``edge_flow`` holds the flow through each finite edge in its
-    canonical orientation (smaller vertex id first); the opposite
-    orientation is obtained by negation.  ``end_flow`` is the flow
-    through each infinite leaf-edge oriented outward (toward the end).
+    Only two sparse maps are stored.  ``below[y]`` is the net mass
+    ``(plus - minus)(T_y)`` of the subtree under ``y`` (base as root),
+    which is the flow from ``parent(y)`` into ``y``; it has a key only
+    where that subtree holds a support end, and every other subtree
+    carries 0.  ``out[x]`` is the positive out-flow at each vertex that
+    has one.  :meth:`flow` and :meth:`flow_to_end` read single flows
+    from these in constant time, so a caller that follows a few paths
+    pays for those paths only.  The specific flow at the keys of
+    ``out`` is derived once, when the moment or a view first needs it.
+
+    The dense maps are read-only views built, all five in one pass over
+    the tree, the first time any of them is read, and then kept:
+    ``edge_flow`` (each finite edge in its canonical orientation,
+    smaller vertex id first; the opposite orientation is the negation),
+    ``classification`` (positive, neutral or negative for that
+    orientation), ``end_flow`` (each infinite leaf-edge oriented outward,
+    toward its end), ``vertex_flow`` (the positive out-flow of every
+    vertex) and ``specific_flow`` (that less the flow on the edge toward
+    the base).
     """
 
     tree: MetricTree
     minus: BoundaryMeasure
     plus: BoundaryMeasure
-    edge_flow: Mapping[tuple[str, str], Fraction]
-    end_flow: Mapping[str, Fraction]
-    vertex_flow: Mapping[str, Fraction]
-    specific_flow: Mapping[str, Fraction]
-    classification: Mapping[tuple[str, str], str]
+    below: Mapping[str, Fraction]
+    out: Mapping[str, Fraction]
 
     def flow(self, tail: str, head: str) -> Fraction:
         """Flow through an oriented edge; end ids address end-edges."""
-        if head in self.end_flow and tail == self.tree.attach(head):
-            return self.end_flow[head]
-        if tail in self.end_flow and head == self.tree.attach(tail):
-            return -self.end_flow[tail]
-        key = _edge_key(tail, head)
-        if key not in self.edge_flow:
-            raise DomainError(f"no edge between {tail!r} and {head!r}")
-        value = self.edge_flow[key]
-        return value if (tail, head) == key else -value
+        t = self.tree
+        parent = t._root().parent
+        if parent.get(head) == tail:
+            return self.below.get(head, _ZERO)
+        if parent.get(tail) == head:
+            value = self.below.get(tail)
+            return -value if value else _ZERO
+        ends = t.ends
+        if head in ends and tail == ends[head]:
+            return self.flow_to_end(head)
+        if tail in ends and head == ends[tail]:
+            return -self.flow_to_end(tail)
+        raise DomainError(f"no edge between {tail!r} and {head!r}")
+
+    def flow_to_end(self, end_id: str) -> Fraction:
+        """Flow through the leaf-edge of ``end_id``, oriented toward the end."""
+        if end_id in self.plus.atoms:
+            return self.plus.atoms[end_id]
+        if end_id in self.minus.atoms:
+            return -self.minus.atoms[end_id]
+        if end_id not in self.tree.ends:
+            raise DomainError(f"unknown end {end_id!r}")
+        return _ZERO
 
     def edge_class(self, u: str, v: str) -> str:
         return self.classification[_edge_key(u, v)]
+
+    @cached_property
+    def _specific(self) -> dict[str, Fraction]:
+        """The specific flow at each key of ``out``; it is 0 at every other vertex.
+
+        The positive out-flow less the flow on the edge toward the base
+        (none at the base).  A vertex with no positive out-flow has none
+        on that edge either, so only the keys of ``out`` can carry one.
+        """
+        parent = self.tree._root().parent
+        below = self.below
+        specific = {}
+        for x, total in self.out.items():
+            net = below.get(x)
+            specific[x] = total - abs(net) if net and parent[x] is not None else total
+        return specific
+
+    @cached_property
+    def _dense(self) -> tuple[Mapping, ...]:
+        return _dense_views(self)
+
+    @property
+    def edge_flow(self) -> Mapping[tuple[str, str], Fraction]:
+        return self._dense[0]
+
+    @property
+    def end_flow(self) -> Mapping[str, Fraction]:
+        return self._dense[1]
+
+    @property
+    def vertex_flow(self) -> Mapping[str, Fraction]:
+        return self._dense[2]
+
+    @property
+    def specific_flow(self) -> Mapping[str, Fraction]:
+        return self._dense[3]
+
+    @property
+    def classification(self) -> Mapping[tuple[str, str], str]:
+        return self._dense[4]
+
+
+def _dense_views(ff: FlowField) -> tuple[Mapping, ...]:
+    """Every edge, end and vertex flow of ``ff``, in one pass over the tree.
+
+    Returns read-only ``(edge_flow, end_flow, vertex_flow,
+    specific_flow, classification)``.
+
+    Edges, ends and vertices outside every charged subtree share one
+    zero and are classified neutral without arithmetic.
+    """
+    t, below, out = ff.tree, ff.below, ff.out
+    parent = t._root().parent
+
+    edge_flow: dict[tuple[str, str], Fraction] = {}
+    classification: dict[tuple[str, str], str] = {}
+    for u, v, _length in t.edges:
+        child = v if parent[v] == u else u
+        toward_child = below.get(child)
+        if not toward_child:
+            edge_flow[(u, v)] = _ZERO
+            classification[(u, v)] = NEUTRAL
+            continue
+        value = toward_child if child == v else -toward_child
+        edge_flow[(u, v)] = value
+        classification[(u, v)] = POSITIVE if value > 0 else NEGATIVE
+
+    plus, minus = ff.plus.atoms, ff.minus.atoms
+    end_flow: dict[str, Fraction] = {}
+    for e in t.ends:
+        if e in plus:
+            end_flow[e] = plus[e]
+        elif e in minus:
+            end_flow[e] = -minus[e]
+        else:
+            end_flow[e] = _ZERO
+
+    specific = ff._specific
+    vertex_flow: dict[str, Fraction] = {}
+    specific_flow: dict[str, Fraction] = {}
+    for x in t.vertices:
+        vertex_flow[x] = out.get(x, _ZERO)
+        specific_flow[x] = specific.get(x, _ZERO)
+
+    return tuple(
+        map(MappingProxyType, (edge_flow, end_flow, vertex_flow, specific_flow, classification))
+    )
 
 
 def _below_sums(t: MetricTree, charges) -> dict[str, Fraction]:
@@ -171,15 +291,15 @@ def subtree_masses(t: MetricTree, measure: BoundaryMeasure) -> dict[str, Fractio
 def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> FlowField:
     """Evaluate the signed measure (plus - minus) on every edge future.
 
-    The net mass ``below[y] = (plus - minus)(T_y)`` of every subtree
-    comes from one sparse bottom-up pass (see :func:`subtree_masses`);
-    it is the flow from ``parent(y)`` into ``y``.  A vertex's positive
-    out-flow is the sum of its children's positive ``below``, of
-    ``-below[x]`` when that is positive (the edge toward the base) and
-    of its ``plus`` end atoms; its specific flow drops ``|below[x]|``,
-    the flow on the edge toward the base, except at the base itself.
-    Edges, ends and vertices outside every charged subtree share one
-    zero and are classified neutral without arithmetic.
+    The net mass ``below[y] = (plus - minus)(T_y)`` of every charged
+    subtree comes from one sparse bottom-up pass (see
+    :func:`subtree_masses`); it is the flow from ``parent(y)`` into
+    ``y``.  A vertex's positive out-flow is the sum of its children's
+    positive ``below``, of ``-below[x]`` when that is positive (the edge
+    toward the base) and of its ``plus`` end atoms; only the vertices
+    where it is positive get a key.  Nothing else is computed here: no
+    map over every edge, end or vertex is filled until a caller reads
+    one (see :class:`FlowField`).
     """
     t.require_valid()
     if not check_antipodal(t, minus, plus):
@@ -189,29 +309,6 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
     below = _below_sums(
         t, [*plus.atoms.items(), *((e, -m) for e, m in minus.atoms.items())]
     )
-
-    edge_flow: dict[tuple[str, str], Fraction] = {}
-    classification: dict[tuple[str, str], str] = {}
-    for u, v, _length in t.edges:
-        child = v if parent[v] == u else u
-        toward_child = below.get(child)
-        if not toward_child:
-            edge_flow[(u, v)] = _ZERO
-            classification[(u, v)] = NEUTRAL
-            continue
-        value = toward_child if child == v else -toward_child
-        edge_flow[(u, v)] = value
-        classification[(u, v)] = POSITIVE if value > 0 else NEGATIVE
-
-    end_flow: dict[str, Fraction] = {}
-    for e in t.ends:
-        if e in plus.atoms:
-            end_flow[e] = plus.atoms[e]
-        elif e in minus.atoms:
-            end_flow[e] = -minus.atoms[e]
-        else:
-            end_flow[e] = _ZERO
-
     out: dict[str, Fraction] = {}
     for y, net in below.items():
         if net > 0:
@@ -223,36 +320,18 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
     for e, mass in plus.atoms.items():
         x = t.attach(e)
         out[x] = out[x] + mass if x in out else mass
-
-    vertex_flow: dict[str, Fraction] = {}
-    specific_flow: dict[str, Fraction] = {}
-    for x in t.vertices:
-        total = out.get(x, _ZERO)
-        vertex_flow[x] = total
-        net = below.get(x)
-        if net and parent[x] is not None:
-            specific_flow[x] = total - abs(net)
-        else:
-            specific_flow[x] = total
-
-    return FlowField(
-        tree=t,
-        minus=minus,
-        plus=plus,
-        edge_flow=edge_flow,
-        end_flow=end_flow,
-        vertex_flow=vertex_flow,
-        specific_flow=specific_flow,
-        classification=classification,
-    )
+    return FlowField(tree=t, minus=minus, plus=plus, below=below, out=out)
 
 
 def specific_flow_second_moment(t: MetricTree, ff: FlowField) -> Fraction:
-    """Sum over vertices of specific flow times squared base distance."""
+    """Sum over vertices of specific flow times squared base distance.
+
+    Only the vertices with a positive out-flow can carry specific flow,
+    so only they are summed.
+    """
     depth = t._root().depth
     total = Fraction(0)
-    for x in t.vertices:
-        flow = ff.specific_flow[x]
+    for x, flow in ff._specific.items():
         if flow:
             d = depth[x]
             total += flow * d * d

@@ -94,9 +94,15 @@ def decide(
     sufficient, and the witness construction (optimal coupling, its
     canonical lift, and the unit-speed verification) is returned.  One
     flow field feeds the coupling, the moment and the verification.
+
+    After the tree is rooted, every stage reads only the atoms' paths
+    and the charged vertices: the measures are checked against the
+    tree once (by :func:`compute_flow_field`, or here when the supports
+    meet), and no stage fills a map over every edge, end or vertex.
     """
     t.require_valid()
-    if not check_antipodal(t, minus, plus):
+    if minus.support & plus.support:
+        check_antipodal(t, minus, plus)  # refuses ends the tree lacks
         return RealizabilityReport(
             antipodal=False,
             verdict=NOT_ANTIPODAL,

@@ -221,12 +221,13 @@ def _edge_id(u: str, v: str) -> str:
 
 
 def flow_field_to_json(ff: FlowField, decimal: Optional[int] = None) -> dict:
+    classification, vertex_flow, specific_flow = ff.classification, ff.vertex_flow, ff.specific_flow
     edges = []
     for (u, v), phi in sorted(ff.edge_flow.items()):
         entry = {
             "edge": _edge_id(u, v),
             "phi": format_fraction(phi),
-            "class": ff.classification[(u, v)],
+            "class": classification[(u, v)],
         }
         if decimal is not None:
             entry["phi_decimal"] = decimal_string(phi, decimal)
@@ -241,15 +242,15 @@ def flow_field_to_json(ff: FlowField, decimal: Optional[int] = None) -> dict:
             entry["phi_decimal"] = decimal_string(phi, decimal)
         edges.append(entry)
     vertices = []
-    for x in sorted(ff.vertex_flow):
+    for x in sorted(vertex_flow):
         entry = {
             "vertex": x,
-            "phi": format_fraction(ff.vertex_flow[x]),
-            "phi0": format_fraction(ff.specific_flow[x]),
+            "phi": format_fraction(vertex_flow[x]),
+            "phi0": format_fraction(specific_flow[x]),
         }
         if decimal is not None:
-            entry["phi_decimal"] = decimal_string(ff.vertex_flow[x], decimal)
-            entry["phi0_decimal"] = decimal_string(ff.specific_flow[x], decimal)
+            entry["phi_decimal"] = decimal_string(vertex_flow[x], decimal)
+            entry["phi0_decimal"] = decimal_string(specific_flow[x], decimal)
         vertices.append(entry)
     return {"edges": edges, "vertices": vertices}
 

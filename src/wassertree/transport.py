@@ -47,6 +47,8 @@ __all__ = [
     "uncross",
 ]
 
+_ZERO = Fraction(0)
+
 
 class Coupling:
     """A transport plan: nonnegative masses on ordered end pairs."""
@@ -112,8 +114,9 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
     the residual demand and the residual flow on every edge of its path
     (in the path's direction) allow; that mass is then subtracted along
     the path.  The residual flow into a child ``y`` starts at
-    ``ff.flow(parent(y), y)``.  The residual flows are the flows of the
-    residual measures, so the greedy never dead-ends, and every pair it
+    ``ff.below[y]``, the flow from ``parent(y)`` into ``y`` (0 where
+    ``y``'s subtree is uncharged).  The residual flows are the flows of
+    the residual measures, so the greedy never dead-ends, and every pair it
     loads rides positive flow only, which makes the coupling optimal.
     Each cell gets the most any optimal coupling extending the earlier
     cells can give it, so the result is the optimal coupling whose mass
@@ -142,8 +145,10 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
     # residual[y]: remaining flow from parent(y) into y, once read.
     residual: dict[str, Fraction] = {}
 
+    below = ff.below
+
     def read(y: str) -> Fraction:
-        r = residual[y] = ff.flow(parent[y], y)
+        r = residual[y] = below.get(y, _ZERO)
         return r
 
     def reach_top(x: str) -> str:

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -117,6 +118,23 @@ def test_unwritable_output_exit_3(tmp_path, flag):
     assert result.returncode == 3
     assert result.stderr == f"parse error: cannot write {target}: No such file or directory\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("output", [None, "report.json"])
+def test_unwritable_dot_writes_no_report(tmp_path, output):
+    argv = ["realize", "--input", str(SAMPLES / "caterpillar.json"), "--dot", "missing/tree.dot"]
+    if output:
+        argv += ["--output", output]
+    # Run from an empty directory, so the relative path is under it.
+    src = str(SAMPLES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "wassertree.cli", *argv], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert result.returncode == 3
+    assert result.stderr == "parse error: cannot write missing/tree.dot: No such file or directory\n"
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_float_length_exit_3(tmp_path):

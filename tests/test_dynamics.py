@@ -9,6 +9,7 @@ from wassertree import (
     Coupling,
     DomainError,
     DynamicalPlan,
+    GeodesicPath,
     MetricTree,
     TreePoint,
     align_offsets_to_time_function,
@@ -399,26 +400,84 @@ def test_verify_geodesic_bad_plan(caterpillar, caterpillar_measures):
     assert exact == 2
 
 
+def _fork():
+    """Two arms below the base r: r-x-z and r-y-w.
+
+    Ends: R at r, X at x, A and B at z, Y at y, C and D at w, so the
+    geodesic from A to D climbs z, x, r and descends r, y, w.
+    """
+    return MetricTree(
+        vertices=["r", "x", "z", "y", "w"],
+        edges=[("r", "x", 1), ("x", "z", 2), ("r", "y", 3), ("y", "w", Fraction(1, 2))],
+        ends=[("R", "r"), ("X", "x"), ("A", "z"), ("B", "z"), ("Y", "y"), ("C", "w"), ("D", "w")],
+        base="r",
+    )
+
+
+def _walk(t, source, target, vertices):
+    """An atom's path along ``vertices``; coords are arc length wherever a hop is an edge."""
+    coords = [Fraction(0)]
+    for u, v in zip(vertices, vertices[1:]):
+        coords.append(coords[-1] + t.edge_length.get((u, v) if u <= v else (v, u), Fraction(1)))
+    edges = tuple(zip(vertices, vertices[1:]))
+    return {"path": GeodesicPath(source, target, tuple(vertices), edges), "coords": tuple(coords)}
+
+
+_FOLLOW = "does not follow the geodesic between its ends"
+
+
 @pytest.mark.parametrize(
-    "malform",
+    "pair, malform, message",
     [
-        lambda t, a: {"coords": (a.coords[0], a.coords[1] + 1)},
-        lambda t, a: {"path": path_between_ends(t, "C", "B")},
-        lambda t, a: {"coords": a.coords[:1]},
+        (
+            ("A", "D"),
+            lambda t, a: {"coords": a.coords[:1] + (a.coords[1] + 1,) + a.coords[2:]},
+            "coords are not arc length on edge ('z', 'x')",
+        ),
+        (("A", "D"), lambda t, a: {"path": path_between_ends(t, "C", "B")}, _FOLLOW),
+        (("A", "D"), lambda t, a: {"coords": a.coords[:1]}, "has 1 coords for 5 vertices"),
+        # Climbs past the meet x to r and comes straight back: x -> r -> x.
+        (("A", "X"), lambda t, a: _walk(t, "A", "X", ["z", "x", "r", "x"]), _FOLLOW),
+        (("A", "D"), lambda t, a: _walk(t, "A", "D", ["x", "r", "y", "w"]), _FOLLOW),
+        (
+            ("A", "D"),
+            lambda t, a: {"path": dataclasses.replace(a.path, edges=(("x", "z"), *a.path.edges[1:]))},
+            _FOLLOW,
+        ),
+        (
+            ("A", "D"),
+            lambda t, a: {"path": dataclasses.replace(a.path, source="D", target="A")},
+            _FOLLOW,
+        ),
+        (("X", "R"), lambda t, a: _walk(t, "X", "R", ["x", "z", "x", "r"]), _FOLLOW),
+        (("A", "D"), lambda t, a: _walk(t, "A", "D", ["z", "r", "y", "w"]), _FOLLOW),
     ],
-    ids=["shifted-coordinate", "path-of-another-pair", "truncated-coords"],
+    ids=[
+        "shifted-coordinate",
+        "path-of-another-pair",
+        "truncated-coords",
+        "backtrack-at-the-turn",
+        "starts-at-the-wrong-attach-vertex",
+        "edges-disagree-with-vertices",
+        "source-and-target-swapped",
+        "descends-then-climbs",
+        "non-adjacent-hop",
+    ],
 )
-def test_verify_geodesic_refuses_malformed_atom(caterpillar, malform):
-    plan, ff = _single_atom(caterpillar)
+def test_verify_geodesic_refuses_malformed_atom(pair, malform, message):
+    t = _fork()
+    plan, ff = _single_atom(t, *pair)
     (atom,) = plan.atoms
-    bad = DynamicalPlan(atoms=(dataclasses.replace(atom, **malform(caterpillar, atom)),))
-    with pytest.raises(DomainError, match="atom A->D"):
+    bad = DynamicalPlan(atoms=(dataclasses.replace(atom, **malform(t, atom)),))
+    with pytest.raises(DomainError) as refused:
         verify_geodesic(bad, ff, [0, 1])
+    assert str(refused.value).startswith(f"atom {pair[0]}->{pair[1]}") and message in str(refused.value)
+    assert verify_geodesic(plan, ff, [0, 1]).passed
 
 
-def _single_atom(t):
-    ff = compute_flow_field(t, BoundaryMeasure({"A": 1}), BoundaryMeasure({"D": 1}))
-    return lift(Coupling({("A", "D"): Fraction(1)}), t), ff
+def _single_atom(t, source="A", target="D"):
+    ff = compute_flow_field(t, BoundaryMeasure({source: 1}), BoundaryMeasure({target: 1}))
+    return lift(Coupling({(source, target): Fraction(1)}), t), ff
 
 
 def test_verify_geodesic_single_atom(caterpillar):

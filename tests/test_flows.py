@@ -1,17 +1,24 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wassertree import (
     BoundaryMeasure,
     DomainError,
+    FamilySpec,
     check_antipodal,
     compute_flow_field,
+    flows,
     specific_flow_second_moment,
+    spine_truncation,
 )
+from wassertree.serialize import load_instance
 
 from gen import random_measures, random_tree
+from oracles import flows as oracle_flows
 
 
 def test_measure_normalizes_zero_atoms():
@@ -140,3 +147,76 @@ def test_swap_negates_edge_flows_random():
             assert swapped.edge_flow[key] == -value
         for x in t.vertices:
             assert swapped.vertex_flow[x] == ff.vertex_flow[x]
+
+
+# -- the sparse field against the dense fill it replaced ---------------------
+
+SAMPLES = Path(__file__).parent.parent / "samples"
+DENSE_MAPS = ("edge_flow", "end_flow", "vertex_flow", "specific_flow", "classification")
+
+
+def _dense_oracle_instances():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        t = random_tree(rng, max_internal=rng.choice((1, 4, 10, 30)), extra_ends=rng.choice((0, 3, 8)))
+        try:
+            yield "seeded", (t, *random_measures(rng, t, max_side=rng.choice((2, 4, 8))))
+        except ValueError:
+            continue
+    for sample in sorted(SAMPLES.glob("*.json")):
+        data = json.loads(sample.read_text())
+        if "measures" in data:
+            tree, measures, _ = load_instance(str(sample))
+            yield sample.name, (tree, *measures)
+        else:
+            yield sample.name, FamilySpec.from_json(data).truncation(20)
+    for level in (1, 2, 7, 60, 200):
+        masses = [Fraction(1, k) for k in range(1, level + 1)]
+        lengths = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(level)]
+        yield f"spine K={level}", spine_truncation(masses, lengths)
+
+
+def test_sparse_field_matches_dense_oracle():
+    checked = 0
+    for label, (t, minus, plus) in _dense_oracle_instances():
+        ff = compute_flow_field(t, minus, plus)
+        dense = oracle_flows.compute_flow_field(t, minus, plus)
+        for name in DENSE_MAPS:
+            assert dict(getattr(ff, name)) == getattr(dense, name), f"{label}: {name}"
+        assert specific_flow_second_moment(t, ff) == oracle_flows.specific_flow_second_moment(t, dense)
+        for u, v, _length in t.edges:
+            for tail, head in ((u, v), (v, u)):
+                assert ff.flow(tail, head) == dense.flow(tail, head), f"{label}: ({tail}, {head})"
+        for end_id, attach in t.ends.items():
+            assert ff.flow(attach, end_id) == dense.flow(attach, end_id) == ff.flow_to_end(end_id)
+            assert ff.flow(end_id, attach) == dense.flow(end_id, attach)
+        # Two vertices that share no edge, and an end away from its attach vertex.
+        far = [v for v in t.vertices if v != t.base and v not in dict(t.adjacency[t.base])]
+        misses = [(t.base, t.base)] + [(t.base, v) for v in far[:1]]
+        misses += [(v, e) for e, a in list(t.ends.items())[:1] for v in t.vertices if v != a][:1]
+        for tail, head in misses:
+            for field in (ff, dense):
+                with pytest.raises(DomainError, match="no edge between"):
+                    field.flow(tail, head)
+        checked += 1
+    assert checked >= 150
+
+
+def test_dense_views_are_built_once_and_read_only(caterpillar, caterpillar_measures, monkeypatch):
+    builds = []
+    dense_views = flows._dense_views
+
+    def counted(ff):
+        builds.append(ff)
+        return dense_views(ff)
+
+    monkeypatch.setattr(flows, "_dense_views", counted)
+    ff = compute_flow_field(caterpillar, *caterpillar_measures)
+    assert builds == []
+    for name in DENSE_MAPS:
+        assert getattr(ff, name) is getattr(ff, name)
+        with pytest.raises(TypeError):
+            getattr(ff, name)["x"] = 0
+    assert builds == [ff]
+    with pytest.raises(DomainError, match="unknown end"):
+        ff.flow_to_end("v0")

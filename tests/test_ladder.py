@@ -18,7 +18,7 @@ from wassertree.cli import main as cli_main
 ROOT = Path(__file__).parent.parent
 TOOL = ROOT / "tools" / "ladder.py"
 SPINE = ROOT / "tests" / "golden" / "inputs" / "deep_spine_200.json"
-STAGES = {"validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s"}
+STAGES = {"parse_s", "validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s"}
 
 
 def test_smallest_rung_writes_a_row(tmp_path):

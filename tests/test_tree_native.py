@@ -213,15 +213,27 @@ def test_no_cost_table_and_one_flow_field_per_decide(monkeypatch, tmp_path):
         passes.append(args)
         return below_sums(*args)
 
+    checks = []
+    check_measures = flows._check_measures_on_tree
+
+    def counted_check(*args):
+        checks.append(args)
+        return check_measures(*args)
+
     monkeypatch.setattr(realizability, "compute_flow_field", counted_field)
     monkeypatch.setattr(flows, "_below_sums", counted_pass)
+    monkeypatch.setattr(flows, "_check_measures_on_tree", counted_check)
     for t, minus, plus in _random_instances(seed=4712, count=20):
         fields.clear()
         passes.clear()
+        checks.clear()
         report = decide(t, minus, plus)
         assert report.geodesic.passed and report.lp_value == -report.flow_moment
-        # One flow field, and one bottom-up pass for all of decide.
-        assert len(fields) == 1 and len(passes) == 1
+        # One flow field, one bottom-up pass and one check of the
+        # measures against the tree for all of decide.
+        assert len(fields) == 1 and len(passes) == 1 and len(checks) == 1
+        checks.clear()
+        assert decide(t, minus, minus).verdict == "not-antipodal" and len(checks) == 1
     out = str(tmp_path / "out.json")
     for name in ("caterpillar.json", "caterpillar_crossed.json", "tripod.json"):
         for command in ("solve", "realize"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .dynamics import DynamicalPlan
-from .flows import NEGATIVE, POSITIVE, FlowField
+from .flows import NEGATIVE, POSITIVE, FlowField, flow_class
 from .rationals import format_fraction
 from .tree import MetricTree
 
@@ -54,11 +54,10 @@ def tree_to_dot(
     for u, v, length in t.edges:
         attrs = [f"label={_quote('len ' + format_fraction(length))}"]
         if ff is not None:
-            cls = ff.classification[(u, v)]
-            color = _COLORS.get(cls, "gray")
+            phi = ff.flow(u, v)
             attrs = [
-                f"label={_quote(f'{u}->{v}: ' + format_fraction(ff.edge_flow[(u, v)]))}",
-                f"color={color}",
+                f"label={_quote(f'{u}->{v}: ' + format_fraction(phi))}",
+                f"color={_COLORS.get(flow_class(phi), 'gray')}",
             ]
         count = traversals.get((u, v), 0)
         if count:
@@ -68,11 +67,10 @@ def tree_to_dot(
     for end_id, attach in sorted(t.ends.items()):
         attrs = ["style=dashed"]
         if ff is not None:
-            phi = ff.end_flow[end_id]
-            color = "red" if phi > 0 else "blue" if phi < 0 else "gray"
+            phi = ff.flow_to_end(end_id)
             attrs = [
                 f"label={_quote('out: ' + format_fraction(phi))}",
-                f"color={color}",
+                f"color={_COLORS.get(flow_class(phi), 'gray')}",
                 "style=dashed",
             ]
         lines.append(f"  {_quote(attach)} -- {_quote('end:' + end_id)} [{', '.join(attrs)}];")

@@ -31,6 +31,7 @@ from .flows import (
     POSITIVE,
     BoundaryMeasure,
     FlowField,
+    flow_class,
 )
 from .transport import Coupling, _crossings
 from .tree import GeodesicPath, MetricTree, TreePoint, dist, path_between_ends
@@ -318,7 +319,7 @@ def check_flow_bounds(plan: DynamicalPlan, ff: FlowField) -> FlowBoundsReport:
     strict_vertices = []
     for x in t.vertices:
         got = vertex_mass.get(x, Fraction(0))
-        bound = ff.vertex_flow[x]
+        bound = ff.out.get(x, Fraction(0))
         if got < bound:
             bounds_hold = False
             strict_vertices.append((x, got, bound, "violated"))
@@ -330,7 +331,8 @@ def check_flow_bounds(plan: DynamicalPlan, ff: FlowField) -> FlowBoundsReport:
     specific_matches: Optional[bool] = None
     if all_equal:
         specific_matches = all(
-            base_mass.get(x, Fraction(0)) == ff.specific_flow[x] for x in t.vertices
+            base_mass.get(x, Fraction(0)) == ff.specific.get(x, Fraction(0))
+            for x in t.vertices
         )
     return FlowBoundsReport(
         strict_edges=tuple(strict_edges),
@@ -385,22 +387,18 @@ def build_time_function(t: MetricTree, ff: FlowField) -> TimeFunction:
         for w, length in t.adjacency[v]:
             if w in vertex_time:
                 continue
-            cls = ff.edge_class(v, w)
-            if cls == NEUTRAL:
-                vertex_time[w] = vertex_time[v]
-            elif ff.flow(v, w) > 0:
+            cls = flow_class(ff.flow(v, w))
+            if cls == POSITIVE:
                 vertex_time[w] = vertex_time[v] + length
-            else:
+            elif cls == NEGATIVE:
                 vertex_time[w] = vertex_time[v] - length
+            else:
+                vertex_time[w] = vertex_time[v]
             stack.append(w)
-    ray_class = {}
-    for end_id in t.ends:
-        f = ff.end_flow[end_id]
-        ray_class[end_id] = POSITIVE if f > 0 else NEGATIVE if f < 0 else NEUTRAL
     return TimeFunction(
         vertex_time=vertex_time,
-        edge_class=dict(ff.classification),
-        ray_class=ray_class,
+        edge_class={edge: flow_class(phi) for edge, phi in ff.edge_flows()},
+        ray_class={end_id: flow_class(ff.flow_to_end(end_id)) for end_id in t.ends},
     )
 
 
@@ -461,22 +459,19 @@ def flow_level_snapshot(
     def put(point, mass):
         atoms[point] = atoms.get(point, Fraction(0)) + mass
 
+    out = ff.out
     for x in t.vertices:
-        if ff.vertex_flow[x] > 0 and tf.vertex_time[x] == time:
-            put(TreePoint.at_vertex(x), ff.vertex_flow[x])
-    for u, v, length in t.edges:
-        cls = ff.classification[(u, v)]
-        if cls == NEUTRAL:
+        if x in out and tf.vertex_time[x] == time:
+            put(TreePoint.at_vertex(x), out[x])
+    for (u, v), phi in ff.edge_flows():
+        if not phi:
             continue
-        tail, head = (u, v) if cls == POSITIVE else (v, u)
+        tail, head = (u, v) if phi > 0 else (v, u)
         lo, hi = tf.vertex_time[tail], tf.vertex_time[head]
         if lo < time < hi:
-            put(
-                TreePoint.on_edge(tail, head, time - lo, length),
-                abs(ff.edge_flow[(u, v)]),
-            )
+            put(TreePoint.on_edge(tail, head, time - lo, t.edge_length[(u, v)]), abs(phi))
     for end_id in sorted(t.ends):
-        f = ff.end_flow[end_id]
+        f = ff.flow_to_end(end_id)
         if f == 0:
             continue
         attach = t.attach(end_id)
@@ -498,17 +493,13 @@ def flow_level_snapshot(
         while stack:
             v = stack.pop()
             for w, _l in t.adjacency[v]:
-                if w not in component and ff.edge_class(v, w) == NEUTRAL:
+                if w not in component and flow_class(ff.flow(v, w)) == NEUTRAL:
                     component.add(w)
                     stack.append(w)
         seen.update(component)
         if len(component) < 2:
             continue
-        boundary = sorted(
-            x
-            for x in component
-            if ff.vertex_flow[x] > 0 and tf.vertex_time[x] == time
-        )
+        boundary = sorted(x for x in component if x in out and tf.vertex_time[x] == time)
         if len(boundary) >= 2:
             tie_components.append(tuple(boundary))
     return LevelSnapshot(
@@ -661,8 +652,8 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     tau-isometric atom contributes ``m * r``; any other one
     reads prefix sums of its slopes at its path vertices and bisects its
     coords once per sample time.  No time function over the tree, no
-    position, no tree point and no dense flow map is built, so the check
-    costs time linear in the atoms' paths, and (a) is linear in them too (see
+    position and no tree point is built, and no flow off the atoms'
+    paths is read, so the check costs time linear in the atoms' paths, and (a) is linear in them too (see
     :func:`antagonist_pairs`).  Each speed check is
     ``(r, s, value, expected, ok)`` with ``value`` the lower bound,
     ``expected = (s - r)^2`` and ``ok`` telling whether the bounds meet,

@@ -16,8 +16,9 @@ class DomainError(WassertreeError):
 class OversizeError(DomainError):
     """An input went past an explicit size cap, which the message names.
 
-    The cap is Python's int-to-str digit limit, met when a fraction is
-    rendered.
+    There are two caps: Python's int-to-str digit limit, met when a
+    fraction is rendered, and the deepest family truncation
+    (``realizability.MAX_LEVEL``), met before any level is built.
     """
 
 

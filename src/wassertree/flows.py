@@ -2,8 +2,8 @@
 
 A pair of antipodal probability measures (disjoint supports on the
 ends) defines a signed measure whose value on the future of each
-oriented edge is the *flow* through that edge.  Edges are classified
-positive / neutral / negative relative to a canonical orientation; the
+oriented edge is the *flow* through that edge.  Each flow is labelled
+positive, neutral or negative by its sign (:func:`flow_class`); the
 flow through a vertex aggregates its positive out-edges, and the
 *specific flow* discards whatever is carried by the edge pointing back
 toward the base.  The second moment of the specific flow (mass times
@@ -12,8 +12,7 @@ functional used by the realizability decision.
 
 A :class:`FlowField` keeps only the net subtree masses and the positive
 out-flows at charged vertices, and reads every other flow from them on
-demand; the maps over all edges, ends and vertices are built on first
-read, for the renderers and the tree-wide checks.
+demand.
 """
 
 from __future__ import annotations
@@ -21,18 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import DomainError
 from .rationals import parse_fraction
-from .tree import MetricTree, _edge_key
+from .tree import MetricTree
 
 __all__ = [
     "BoundaryMeasure",
     "FlowField",
     "check_antipodal",
     "compute_flow_field",
+    "flow_class",
     "specific_flow_second_moment",
     "subtree_masses",
 ]
@@ -42,6 +41,13 @@ NEUTRAL = "neutral"
 NEGATIVE = "negative"
 
 _ZERO = Fraction(0)
+
+
+def flow_class(value: Fraction) -> str:
+    """The sign label of a flow: positive, neutral or negative."""
+    if not value:
+        return NEUTRAL
+    return POSITIVE if value > 0 else NEGATIVE
 
 
 class BoundaryMeasure:
@@ -114,20 +120,11 @@ class FlowField:
     which is the flow from ``parent(y)`` into ``y``; it has a key only
     where that subtree holds a support end, and every other subtree
     carries 0.  ``out[x]`` is the positive out-flow at each vertex that
-    has one.  :meth:`flow` and :meth:`flow_to_end` read single flows
-    from these in constant time, so a caller that follows a few paths
-    pays for those paths only.  The specific flow at the keys of
-    ``out`` is derived once, when the moment or a view first needs it.
-
-    The dense maps are read-only views built, all five in one pass over
-    the tree, the first time any of them is read, and then kept:
-    ``edge_flow`` (each finite edge in its canonical orientation,
-    smaller vertex id first; the opposite orientation is the negation),
-    ``classification`` (positive, neutral or negative for that
-    orientation), ``end_flow`` (each infinite leaf-edge oriented outward,
-    toward its end), ``vertex_flow`` (the positive out-flow of every
-    vertex) and ``specific_flow`` (that less the flow on the edge toward
-    the base).
+    has one, and :attr:`specific` the specific flow there; every other
+    vertex has 0 of both.  :meth:`flow` and :meth:`flow_to_end` read
+    single flows in constant time, so a caller that follows a few paths
+    pays for those paths only; :meth:`edge_flows` reads every finite
+    edge in one pass.
     """
 
     tree: MetricTree
@@ -162,16 +159,29 @@ class FlowField:
             raise DomainError(f"unknown end {end_id!r}")
         return _ZERO
 
-    def edge_class(self, u: str, v: str) -> str:
-        return self.classification[_edge_key(u, v)]
+    def edge_flows(self) -> Iterator[tuple[tuple[str, str], Fraction]]:
+        """Each finite edge ``(u, v)`` of ``tree.edges`` with its flow from ``u`` to ``v``.
+
+        One pass in the tree's edge order (smaller vertex id first); the
+        opposite orientation carries the negation.
+        """
+        parent = self.tree._root().parent
+        below = self.below
+        for u, v, _length in self.tree.edges:
+            if parent[v] == u:
+                yield (u, v), below.get(v, _ZERO)
+            else:
+                value = below.get(u)
+                yield (u, v), -value if value else _ZERO
 
     @cached_property
-    def _specific(self) -> dict[str, Fraction]:
+    def specific(self) -> dict[str, Fraction]:
         """The specific flow at each key of ``out``; it is 0 at every other vertex.
 
         The positive out-flow less the flow on the edge toward the base
         (none at the base).  A vertex with no positive out-flow has none
         on that edge either, so only the keys of ``out`` can carry one.
+        Derived once, on first read.
         """
         parent = self.tree._root().parent
         below = self.below
@@ -180,77 +190,6 @@ class FlowField:
             net = below.get(x)
             specific[x] = total - abs(net) if net and parent[x] is not None else total
         return specific
-
-    @cached_property
-    def _dense(self) -> tuple[Mapping, ...]:
-        return _dense_views(self)
-
-    @property
-    def edge_flow(self) -> Mapping[tuple[str, str], Fraction]:
-        return self._dense[0]
-
-    @property
-    def end_flow(self) -> Mapping[str, Fraction]:
-        return self._dense[1]
-
-    @property
-    def vertex_flow(self) -> Mapping[str, Fraction]:
-        return self._dense[2]
-
-    @property
-    def specific_flow(self) -> Mapping[str, Fraction]:
-        return self._dense[3]
-
-    @property
-    def classification(self) -> Mapping[tuple[str, str], str]:
-        return self._dense[4]
-
-
-def _dense_views(ff: FlowField) -> tuple[Mapping, ...]:
-    """Every edge, end and vertex flow of ``ff``, in one pass over the tree.
-
-    Returns read-only ``(edge_flow, end_flow, vertex_flow,
-    specific_flow, classification)``.
-
-    Edges, ends and vertices outside every charged subtree share one
-    zero and are classified neutral without arithmetic.
-    """
-    t, below, out = ff.tree, ff.below, ff.out
-    parent = t._root().parent
-
-    edge_flow: dict[tuple[str, str], Fraction] = {}
-    classification: dict[tuple[str, str], str] = {}
-    for u, v, _length in t.edges:
-        child = v if parent[v] == u else u
-        toward_child = below.get(child)
-        if not toward_child:
-            edge_flow[(u, v)] = _ZERO
-            classification[(u, v)] = NEUTRAL
-            continue
-        value = toward_child if child == v else -toward_child
-        edge_flow[(u, v)] = value
-        classification[(u, v)] = POSITIVE if value > 0 else NEGATIVE
-
-    plus, minus = ff.plus.atoms, ff.minus.atoms
-    end_flow: dict[str, Fraction] = {}
-    for e in t.ends:
-        if e in plus:
-            end_flow[e] = plus[e]
-        elif e in minus:
-            end_flow[e] = -minus[e]
-        else:
-            end_flow[e] = _ZERO
-
-    specific = ff._specific
-    vertex_flow: dict[str, Fraction] = {}
-    specific_flow: dict[str, Fraction] = {}
-    for x in t.vertices:
-        vertex_flow[x] = out.get(x, _ZERO)
-        specific_flow[x] = specific.get(x, _ZERO)
-
-    return tuple(
-        map(MappingProxyType, (edge_flow, end_flow, vertex_flow, specific_flow, classification))
-    )
 
 
 def _below_sums(t: MetricTree, charges) -> dict[str, Fraction]:
@@ -298,8 +237,8 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
     positive ``below``, of ``-below[x]`` when that is positive (the edge
     toward the base) and of its ``plus`` end atoms; only the vertices
     where it is positive get a key.  Nothing else is computed here: no
-    map over every edge, end or vertex is filled until a caller reads
-    one (see :class:`FlowField`).
+    map over every edge, end or vertex is ever filled (see
+    :class:`FlowField`).
     """
     t.require_valid()
     if not check_antipodal(t, minus, plus):
@@ -331,7 +270,7 @@ def specific_flow_second_moment(t: MetricTree, ff: FlowField) -> Fraction:
     """
     depth = t._root().depth
     total = Fraction(0)
-    for x, flow in ff._specific.items():
+    for x, flow in ff.specific.items():
         if flow:
             d = depth[x]
             total += flow * d * d

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, OversizeError, StructureError
 from .flows import (
     BoundaryMeasure,
     FlowField,
@@ -59,6 +59,10 @@ NOT_ANTIPODAL = "not-antipodal"
 CONVERGED = "converged-within-tolerance"
 DIVERGING = "diverging-trend"
 INCONCLUSIVE = "inconclusive"
+
+# The deepest truncation family_analyze builds; a deeper request is
+# refused before any rule is expanded.
+MAX_LEVEL = 10_000
 
 
 @dataclass(frozen=True)
@@ -275,11 +279,14 @@ def family_analyze(spec: FamilySpec, max_level: int, tolerance) -> FamilyVerdict
     moment-sum increments are below tolerance and non-increasing;
     diverging-trend when increments never decrease and the final sum
     exceeds ten times the level-3 sum; inconclusive otherwise.  The
-    verdict is about the computed prefix only.
+    verdict is about the computed prefix only.  A ``max_level`` above
+    :data:`MAX_LEVEL` is an :class:`OversizeError`.
     """
     tolerance = parse_fraction(tolerance)
     if max_level < 3:
         raise DomainError("max_level must be at least 3")
+    if max_level > MAX_LEVEL:
+        raise OversizeError(f"max_level is above the family level cap of {MAX_LEVEL}")
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
 

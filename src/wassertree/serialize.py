@@ -32,7 +32,7 @@ from typing import Optional
 
 from .dynamics import DynamicalPlan, GeodesicReport, Snapshot
 from .errors import ParseError
-from .flows import BoundaryMeasure, FlowField
+from .flows import BoundaryMeasure, FlowField, flow_class
 from .rationals import decimal_string, format_fraction, parse_fraction
 from .realizability import FamilySpec, FamilyVerdict, RealizabilityReport
 from .transport import Coupling, MonotonicityResult
@@ -220,37 +220,26 @@ def _edge_id(u: str, v: str) -> str:
     return f"{u}~{v}"
 
 
+def _flow_entry(edge_id: str, phi: Fraction, decimal: Optional[int]) -> dict:
+    entry = {"edge": edge_id, "phi": format_fraction(phi), "class": flow_class(phi)}
+    if decimal is not None:
+        entry["phi_decimal"] = decimal_string(phi, decimal)
+    return entry
+
+
 def flow_field_to_json(ff: FlowField, decimal: Optional[int] = None) -> dict:
-    classification, vertex_flow, specific_flow = ff.classification, ff.vertex_flow, ff.specific_flow
-    edges = []
-    for (u, v), phi in sorted(ff.edge_flow.items()):
-        entry = {
-            "edge": _edge_id(u, v),
-            "phi": format_fraction(phi),
-            "class": classification[(u, v)],
-        }
-        if decimal is not None:
-            entry["phi_decimal"] = decimal_string(phi, decimal)
-        edges.append(entry)
-    for end_id, phi in sorted(ff.end_flow.items()):
-        entry = {
-            "edge": f"end:{end_id}",
-            "phi": format_fraction(phi),
-            "class": "positive" if phi > 0 else "negative" if phi < 0 else "neutral",
-        }
-        if decimal is not None:
-            entry["phi_decimal"] = decimal_string(phi, decimal)
-        edges.append(entry)
+    """Every finite edge, end-edge and vertex of the tree, in id order."""
+    t = ff.tree
+    edges = [_flow_entry(_edge_id(u, v), phi, decimal) for (u, v), phi in ff.edge_flows()]
+    edges += [_flow_entry(f"end:{e}", ff.flow_to_end(e), decimal) for e in t.ends]
+    out, specific, zero = ff.out, ff.specific, Fraction(0)
     vertices = []
-    for x in sorted(vertex_flow):
-        entry = {
-            "vertex": x,
-            "phi": format_fraction(vertex_flow[x]),
-            "phi0": format_fraction(specific_flow[x]),
-        }
+    for x in t.vertices:
+        phi, phi0 = out.get(x, zero), specific.get(x, zero)
+        entry = {"vertex": x, "phi": format_fraction(phi), "phi0": format_fraction(phi0)}
         if decimal is not None:
-            entry["phi_decimal"] = decimal_string(vertex_flow[x], decimal)
-            entry["phi0_decimal"] = decimal_string(specific_flow[x], decimal)
+            entry["phi_decimal"] = decimal_string(phi, decimal)
+            entry["phi0_decimal"] = decimal_string(phi0, decimal)
         vertices.append(entry)
     return {"edges": edges, "vertices": vertices}
 

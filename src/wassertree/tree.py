@@ -288,22 +288,19 @@ def _structural_violations(t: MetricTree) -> list[str]:
         return violations
 
     # Connectivity and acyclicity of the finite part (ends are leaves and
-    # cannot close a cycle).
-    if t.vertices:
-        seen = {t.vertices[0]}
-        stack = [t.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w, _ in t.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(t.vertices):
-            violations.append("not connected")
-        elif len(t.edges) != len(t.vertices) - 1:
-            violations.append("not acyclic")
-    else:
-        violations.append("no vertices")
+    # cannot close a cycle).  The base is a vertex, so there is one.
+    seen = {t.vertices[0]}
+    stack = [t.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for w, _ in t.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(t.vertices):
+        violations.append("not connected")
+    elif len(t.edges) != len(t.vertices) - 1:
+        violations.append("not acyclic")
 
     if len(t.ends) < 2:
         violations.append("fewer than 2 ends")
@@ -314,15 +311,13 @@ def _validate(t: MetricTree) -> ValidationReport:
     violations = _structural_violations(t)
     warnings: list[str] = []
     if not violations:
+        # A connected tree of two or more vertices has no isolated one.
         for v in t.vertices:
-            deg = t.degree(v)
-            if deg == 2:
+            if t.degree(v) == 2:
                 if v == t.base:
                     warnings.append("base vertex has degree 2 (kept as exception)")
                 else:
                     violations.append(f"non-canonical vertex {v!r} (degree 2)")
-            elif deg == 0 and len(t.vertices) > 1:
-                violations.append(f"isolated vertex {v!r}")
 
     return ValidationReport(not violations, tuple(violations), tuple(warnings))
 
@@ -484,10 +479,11 @@ def future_ends(t: MetricTree, tail: str, head: str) -> frozenset[str]:
     below the edge, or its complement.
     """
     t.require_valid()
-    if head in t.ends:
+    ends = t.ends
+    if ends.get(head) == tail:
         return frozenset({head})
-    if tail in t.ends:
-        return frozenset(t.ends) - {tail}
+    if ends.get(tail) == head:
+        return frozenset(ends) - {tail}
     if _edge_key(tail, head) not in t.edge_length:
         raise DomainError(f"no edge between {tail!r} and {head!r}")
     if t.parent(head) == tail:

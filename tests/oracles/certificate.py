@@ -38,9 +38,9 @@ def verify_geodesic(plan, ff, sample_times) -> GeodesicReport:
         for (tail, head) in a.path.edges:
             if ff.flow(tail, head) <= 0:
                 tau_failures.append((idx, ("edge", (tail, head))))
-        if ff.end_flow[a.source] >= 0:
+        if ff.flow_to_end(a.source) >= 0:
             tau_failures.append((idx, ("ray", a.source)))
-        if ff.end_flow[a.target] <= 0:
+        if ff.flow_to_end(a.target) <= 0:
             tau_failures.append((idx, ("ray", a.target)))
 
     tf = build_time_function(t, ff)

@@ -3,9 +3,9 @@
 :func:`compute_flow_field` fills a value for every finite edge, every
 end and every vertex up front, from the same sparse bottom-up sums the
 library stores, and :class:`DenseFlowField` reads ``flow(tail, head)``
-from those filled maps.  The library now keeps only the sums and the
-positive out-flows at charged vertices and builds the dense maps on
-first read; this route exists only to be compared with it by exact
+from those filled maps.  The library keeps only the sums and the
+positive out-flows at charged vertices and reads every flow from them
+on demand; this route exists only to be compared with it by exact
 equality.
 """
 

@@ -519,6 +519,18 @@ def test_family_integral_float_max_level_is_an_integer(tmp_path):
     assert json.loads(as_float.stdout)["max_level"] == 6
 
 
+@pytest.mark.parametrize("source", ["flag", "spec"])
+def test_family_level_above_cap_exit_4(tmp_path, source):
+    if source == "flag":
+        args = ["--input", str(SAMPLES / "spine_constant.json"), "--max-level", "99999999999999999999"]
+    else:
+        args = ["--input", write(tmp_path, "family.json", {**SPINE, "max_level": 1e300})]
+    result = run_cli("family", *args)
+    assert result.returncode == 4
+    assert "domain error" in result.stderr and "level cap of 10000" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("values", [5, "123", {"a": "1"}, None])
 def test_family_explicit_values_not_a_list_exit_2(tmp_path, values):
     spec = {**SPINE, "masses": {"kind": "explicit", "values": values}}

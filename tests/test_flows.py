@@ -11,10 +11,11 @@ from wassertree import (
     FamilySpec,
     check_antipodal,
     compute_flow_field,
-    flows,
     specific_flow_second_moment,
     spine_truncation,
 )
+from wassertree.dot import tree_to_dot
+from wassertree.flows import flow_class
 from wassertree.serialize import load_instance
 
 from gen import random_measures, random_tree
@@ -46,23 +47,25 @@ def test_antipodal_examples(caterpillar, tripod, caterpillar_measures):
 def test_flow_field_caterpillar(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     ff = compute_flow_field(caterpillar, minus, plus)
-    assert ff.edge_flow[("v0", "v1")] == 0
-    assert ff.edge_class("v0", "v1") == "neutral"
-    assert ff.vertex_flow["v0"] == Fraction(1, 2)
-    assert ff.specific_flow["v0"] == Fraction(1, 2)
-    assert ff.vertex_flow["v1"] == Fraction(1, 2)
-    assert ff.specific_flow["v1"] == Fraction(1, 2)
+    assert ff.flow("v0", "v1") == 0
+    assert flow_class(ff.flow("v0", "v1")) == "neutral"
+    assert ff.out["v0"] == Fraction(1, 2)
+    assert ff.specific["v0"] == Fraction(1, 2)
+    assert ff.out["v1"] == Fraction(1, 2)
+    assert ff.specific["v1"] == Fraction(1, 2)
+    with pytest.raises(DomainError, match="unknown end"):
+        ff.flow_to_end("v0")
 
 
 def test_flow_field_tripod(tripod):
     minus = BoundaryMeasure({"A": 1})
     plus = BoundaryMeasure({"B": Fraction(1, 2), "C": Fraction(1, 2)})
     ff = compute_flow_field(tripod, minus, plus)
-    assert ff.end_flow["A"] == -1
-    assert ff.end_flow["B"] == Fraction(1, 2)
-    assert ff.end_flow["C"] == Fraction(1, 2)
-    assert ff.vertex_flow["c"] == 1
-    assert ff.specific_flow["c"] == 1
+    assert ff.flow_to_end("A") == -1
+    assert ff.flow_to_end("B") == Fraction(1, 2)
+    assert ff.flow_to_end("C") == Fraction(1, 2)
+    assert ff.out["c"] == 1
+    assert ff.specific["c"] == 1
 
 
 def test_flow_field_rejects_non_antipodal(caterpillar):
@@ -111,10 +114,10 @@ def test_kirchhoff_at_every_vertex_random():
         ff = compute_flow_field(t, minus, plus)
         for x in t.vertices:
             out_flows = [ff.flow(x, w) for w, _ in t.adjacency[x]]
-            out_flows += [ff.end_flow[e] for e in t.vertex_ends[x]]
+            out_flows += [ff.flow_to_end(e) for e in t.vertex_ends[x]]
             positive_out = sum((f for f in out_flows if f > 0), Fraction(0))
             positive_in = sum((-f for f in out_flows if f < 0), Fraction(0))
-            assert positive_out == positive_in == ff.vertex_flow[x]
+            assert positive_out == positive_in == ff.out.get(x, 0)
 
 
 def test_flow_bounds_random():
@@ -124,7 +127,7 @@ def test_flow_bounds_random():
         t, minus, plus = _antipodal_instance(rng)
         ff = compute_flow_field(t, minus, plus)
         for x in t.vertices:
-            assert 0 <= ff.specific_flow[x] <= ff.vertex_flow[x] <= 1
+            assert 0 <= ff.specific.get(x, 0) <= ff.out.get(x, 0) <= 1
 
 
 def test_end_edge_balance_random():
@@ -134,7 +137,7 @@ def test_end_edge_balance_random():
         t, minus, plus = _antipodal_instance(rng)
         ff = compute_flow_field(t, minus, plus)
         for e in t.ends:
-            assert ff.end_flow[e] == plus.mass(e) - minus.mass(e)
+            assert ff.flow_to_end(e) == plus.mass(e) - minus.mass(e)
 
 
 def test_swap_negates_edge_flows_random():
@@ -143,16 +146,13 @@ def test_swap_negates_edge_flows_random():
         t, minus, plus = _antipodal_instance(rng)
         ff = compute_flow_field(t, minus, plus)
         swapped = compute_flow_field(t, plus, minus)
-        for key, value in ff.edge_flow.items():
-            assert swapped.edge_flow[key] == -value
-        for x in t.vertices:
-            assert swapped.vertex_flow[x] == ff.vertex_flow[x]
+        assert dict(swapped.edge_flows()) == {edge: -value for edge, value in ff.edge_flows()}
+        assert swapped.out == ff.out
 
 
 # -- the sparse field against the dense fill it replaced ---------------------
 
 SAMPLES = Path(__file__).parent.parent / "samples"
-DENSE_MAPS = ("edge_flow", "end_flow", "vertex_flow", "specific_flow", "classification")
 
 
 def _dense_oracle_instances():
@@ -181,8 +181,13 @@ def test_sparse_field_matches_dense_oracle():
     for label, (t, minus, plus) in _dense_oracle_instances():
         ff = compute_flow_field(t, minus, plus)
         dense = oracle_flows.compute_flow_field(t, minus, plus)
-        for name in DENSE_MAPS:
-            assert dict(getattr(ff, name)) == getattr(dense, name), f"{label}: {name}"
+        edge_flows = list(ff.edge_flows())
+        assert [edge for edge, _ in edge_flows] == [(u, v) for u, v, _ in t.edges], label
+        assert dict(edge_flows) == dense.edge_flow, label
+        assert {edge: flow_class(phi) for edge, phi in edge_flows} == dense.classification, label
+        assert {e: ff.flow_to_end(e) for e in t.ends} == dense.end_flow, label
+        assert {x: ff.out.get(x, 0) for x in t.vertices} == dense.vertex_flow, label
+        assert {x: ff.specific.get(x, 0) for x in t.vertices} == dense.specific_flow, label
         assert specific_flow_second_moment(t, ff) == oracle_flows.specific_flow_second_moment(t, dense)
         for u, v, _length in t.edges:
             for tail, head in ((u, v), (v, u)):
@@ -202,21 +207,17 @@ def test_sparse_field_matches_dense_oracle():
     assert checked >= 150
 
 
-def test_dense_views_are_built_once_and_read_only(caterpillar, caterpillar_measures, monkeypatch):
-    builds = []
-    dense_views = flows._dense_views
-
-    def counted(ff):
-        builds.append(ff)
-        return dense_views(ff)
-
-    monkeypatch.setattr(flows, "_dense_views", counted)
-    ff = compute_flow_field(caterpillar, *caterpillar_measures)
-    assert builds == []
-    for name in DENSE_MAPS:
-        assert getattr(ff, name) is getattr(ff, name)
-        with pytest.raises(TypeError):
-            getattr(ff, name)["x"] = 0
-    assert builds == [ff]
-    with pytest.raises(DomainError, match="unknown end"):
-        ff.flow_to_end("v0")
+def test_dot_labels_and_colours_match_dense_oracle():
+    colour = {"positive": "red", "neutral": "gray", "negative": "blue"}
+    checked = 0
+    for label, (t, minus, plus) in _dense_oracle_instances():
+        lines = set(tree_to_dot(t, compute_flow_field(t, minus, plus)).splitlines())
+        dense = oracle_flows.compute_flow_field(t, minus, plus)
+        for (u, v), phi in dense.edge_flow.items():
+            cls = colour[dense.classification[(u, v)]]
+            assert f'  "{u}" -- "{v}" [label="{u}->{v}: {phi}", color={cls}];' in lines, label
+        for e, phi in dense.end_flow.items():
+            cls = colour[flow_class(phi)]
+            assert f'  "{t.attach(e)}" -- "end:{e}" [label="out: {phi}", color={cls}, style=dashed];' in lines, label
+        checked += 1
+    assert checked >= 150

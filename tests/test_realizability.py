@@ -7,6 +7,7 @@ from wassertree import (
     BoundaryMeasure,
     DomainError,
     FamilySpec,
+    OversizeError,
     StructureError,
     family_analyze,
     decide,
@@ -17,6 +18,8 @@ from wassertree import (
     spine_truncation,
     validate_tree,
 )
+
+from wassertree.realizability import MAX_LEVEL
 
 from gen import random_measures, random_tree
 
@@ -243,6 +246,17 @@ def test_family_requires_three_levels():
     )
     with pytest.raises(DomainError):
         family_analyze(spec, 2, Fraction(1, 1000))
+
+
+def test_family_level_cap_is_checked_before_any_rule_is_expanded():
+    # The two-entry list would fail at level 3, so the cap is checked first.
+    spec = FamilySpec(
+        kind="spine",
+        masses={"kind": "explicit", "values": ["1/2", "1/4"]},
+        lengths={"kind": "constant", "value": "1"},
+    )
+    with pytest.raises(OversizeError, match=f"level cap of {MAX_LEVEL}"):
+        family_analyze(spec, MAX_LEVEL + 1, Fraction(1, 1000))
 
 
 def test_family_spec_from_json_custom():

@@ -144,6 +144,7 @@ _PATH = dict(
     "change, fragment",
     [
         ({"edges": [("v0", "a", 1), ("a", "v1", 1), ("v1", "v0", 1)]}, "not acyclic"),
+        # An isolated vertex is reported as a disconnection.
         ({"vertices": ["v0", "a", "v1", "w"]}, "not connected"),
         ({"edges": [("v0", "a", 1), ("a", "v1", 1), ("v1", "v1", 1)]}, "self-loop"),
         ({"edges": [("v0", "a", 0), ("a", "v1", 1)]}, "non-positive length"),
@@ -151,6 +152,8 @@ _PATH = dict(
         ({"ends": [("A", "v0")]}, "fewer than 2 ends"),
         ({"ends": [("A", "v0"), ("A", "v1"), ("C", "v1")]}, "duplicate end ids"),
         ({"ends": [("A", "v0"), ("B", "v0"), ("C", "x")]}, "attaches to unknown vertex"),
+        # No vertices at all: the missing base is reported first.
+        ({"vertices": [], "edges": [], "ends": []}, "base vertex 'v0' is not a vertex"),
     ],
 )
 def test_canonicalize_refuses_structural_violations(change, fragment):
@@ -243,6 +246,10 @@ def test_future_ends_caterpillar(caterpillar):
     assert future_ends(caterpillar, "v1", "v0") == {"A", "B"}
     assert future_ends(caterpillar, "v0", "A") == {"A"}
     assert future_ends(caterpillar, "A", "v0") == {"B", "C", "D"}
+    # A hangs off v0: neither v1 nor another end is its other side.
+    for tail, head in (("v1", "A"), ("A", "v1"), ("A", "B")):
+        with pytest.raises(DomainError, match="no edge between"):
+            future_ends(caterpillar, tail, head)
 
 
 def test_future_ends_partition_random():

@@ -240,9 +240,9 @@ class _UnscannableEnds(dict):
 def test_decide_reads_no_dense_view(monkeypatch):
     """After rooting, decide reads the atoms' paths and charged vertices only.
 
-    No dense flow map is built anywhere in ``decide``, no route iterates
-    over the tree's vertices, edges or ends, and ``verify_geodesic``
-    rebuilds no path.
+    No route of ``decide`` reads every edge's flow (``edge_flows``) or
+    iterates over the tree's vertices, edges or ends, and
+    ``verify_geodesic`` rebuilds no path.
     """
     verifying = []
 
@@ -267,7 +267,7 @@ def test_decide_reads_no_dense_view(monkeypatch):
         finally:
             verifying.pop()
 
-    monkeypatch.setattr(flows, "_dense_views", refuse("dense flow view"))
+    monkeypatch.setattr(flows.FlowField, "edge_flows", refuse("edge_flows"))
     monkeypatch.setattr(realizability, "verify_geodesic", flagged)
     monkeypatch.setattr(MetricTree, "vertex_path", refuse_while_verifying("vertex_path", MetricTree.vertex_path))
     for name, module in list(sys.modules.items()):

@@ -15,6 +15,9 @@ on the 200-level spine ``tests/golden/inputs/deep_spine_200.json``: each
 run is a fresh interpreter (start-up, import, parse, compute, render and
 write to a file), ``--repeats`` times, median kept.  The SHA-256 of each
 output lets rows of two source trees be checked for identical bytes.
+The row records ``sys.flags.dont_write_bytecode``, which the children
+inherit: where it is set, every run compiles the package from source,
+so such rows are not comparable with rows where it is not.
 
     python3 tools/ladder.py --label change --out BENCH_8.json
     python3 tools/ladder.py --src ../parent/src --label parent --out BENCH_8.json
@@ -122,10 +125,11 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
     checks = [x for check in report.speed_checks for x in check[:4]]
     bits = _den_bits(
         [
-            *ff.edge_flow.values(),
-            *ff.end_flow.values(),
-            *ff.vertex_flow.values(),
-            *ff.specific_flow.values(),
+            *ff.below.values(),
+            *minus.atoms.values(),
+            *plus.atoms.values(),
+            *ff.out.values(),
+            *ff.specific.values(),
             *coupling.atoms.values(),
             value,
             moment,
@@ -155,7 +159,9 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
 def run_cli_rung(src: str, repeats: int) -> dict:
     """End-to-end wall time of each CLI subcommand on the 200-level spine."""
     env = {**os.environ, "PYTHONPATH": src}
-    rung = {"input": CLI_INPUT}
+    # The children inherit this setting: without cached bytecode each
+    # timed run compiles the package from source.
+    rung = {"input": CLI_INPUT, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.json"
         for command in CLI_COMMANDS:

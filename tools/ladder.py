@@ -159,8 +159,6 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
 def run_cli_rung(src: str, repeats: int) -> dict:
     """End-to-end wall time of each CLI subcommand on the 200-level spine."""
     env = {**os.environ, "PYTHONPATH": src}
-    # The children inherit this setting: without cached bytecode each
-    # timed run compiles the package from source.
     rung = {"input": CLI_INPUT, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.json"

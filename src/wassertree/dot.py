@@ -41,7 +41,8 @@ def tree_to_dot(
     traversals: dict[tuple[str, str], int] = {}
     if plan is not None:
         for a in plan.atoms:
-            for (u, v) in a.path.edges:
+            chain = a.geodesic(t)[0]
+            for u, v in zip(chain, chain[1:]):
                 key = (u, v) if u <= v else (v, u)
                 traversals[key] = traversals.get(key, 0) + 1
 

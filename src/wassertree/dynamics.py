@@ -2,9 +2,12 @@
 
 A coupling of two boundary measures lifts to a plan with one atom per
 coupled pair: the geodesic between the two ends, unit speed, oriented
-from source to target.  The canonical parametrization puts each atom at
-time 0 on the point of its geodesic nearest the base vertex; a rational
-``time_offset`` shifts an individual atom along its own line.
+from source to target.  On a tree two distinct ends are joined by
+exactly one complete geodesic, so an atom is its two ends, its mass and
+its time offset, and its path is read from the tree when needed.  The
+canonical parametrization puts each atom at time 0 on the point of its
+geodesic nearest the base vertex; a rational ``time_offset`` shifts an
+individual atom along its own line.
 
 The module provides the mass bookkeeping that mirrors the edge/vertex
 flows (and the comparison between the two), antagonism detection, the
@@ -20,7 +23,7 @@ measures.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -34,7 +37,7 @@ from .flows import (
     flow_class,
 )
 from .transport import Coupling, _crossings
-from .tree import GeodesicPath, MetricTree, TreePoint, dist, path_between_ends
+from .tree import MetricTree, TreePoint, dist
 
 __all__ = [
     "PlanAtom",
@@ -62,39 +65,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanAtom:
-    """One weighted geodesic of a dynamical plan.
+    """One weighted geodesic of a dynamical plan: two ends, a mass and an offset.
 
-    ``coords`` assigns an arc-length coordinate to every vertex of the
-    path, increasing from source to target, with 0 at ``base_vertex``
-    (the path point nearest the base).  The atom's position at time t
-    is the point with coordinate ``t + time_offset``.
+    Two distinct ends of a tree are joined by exactly one complete
+    geodesic, so the atom stores no path; :meth:`geodesic` reads it from
+    the tree.  The atom's position at time t is the point of that
+    geodesic with arc-length coordinate ``t + time_offset``, where 0 is
+    the point nearest the base.
     """
 
     source: str
     target: str
     mass: Fraction
-    path: GeodesicPath
-    base_vertex: str
-    coords: tuple[Fraction, ...]
-    time_offset: Fraction
+    time_offset: Fraction = Fraction(0)
+
+    def geodesic(self, t: MetricTree) -> tuple[tuple[str, ...], tuple[Fraction, ...], int]:
+        """``(vertices, coords, k)``: the atom's path and its arc-length coords.
+
+        ``vertices`` is the chain from the source's attach vertex to the
+        target's (:meth:`~wassertree.tree.MetricTree.vertex_path`).  It
+        climbs to the meet of the two and then descends, so its point
+        nearest the base is ``vertices[k]``, the vertex of least hop
+        level, and the coord of a vertex ``w`` is ``depth[w] -
+        depth[meet]``, negated on the climb: one subtraction per vertex.
+        """
+        chain = self._chain(t)
+        return (chain, *_arc_coords(t, chain))
+
+    def _chain(self, t: MetricTree) -> tuple[str, ...]:
+        """The ``vertices`` of :meth:`geodesic`, without its coords."""
+        return t.vertex_path(*_attaches(t, self.source, self.target))
 
     def position(self, time: Fraction, t: MetricTree) -> TreePoint:
+        verts, coords, _ = self.geodesic(t)
         c = time + self.time_offset
-        coords = self.coords
-        verts = self.path.vertices
         if c <= coords[0]:
             return TreePoint.on_ray(self.source, verts[0], coords[0] - c)
         if c >= coords[-1]:
             return TreePoint.on_ray(self.target, verts[-1], c - coords[-1])
-        hi = 1
-        while coords[hi] < c:
-            hi += 1
-        u, v = verts[hi - 1], verts[hi]
-        length = coords[hi] - coords[hi - 1]
-        return TreePoint.on_edge(u, v, c - coords[hi - 1], length)
-
-    def vertex_coord(self, v: str) -> Fraction:
-        return self.coords[self.path.vertices.index(v)]
+        hi = bisect_left(coords, c)
+        return TreePoint.on_edge(verts[hi - 1], verts[hi], c - coords[hi - 1], coords[hi] - coords[hi - 1])
 
 
 @dataclass(frozen=True)
@@ -105,57 +115,44 @@ class DynamicalPlan:
         return sum((a.mass for a in self.atoms), Fraction(0))
 
 
+def _attaches(t: MetricTree, a: str, b: str) -> tuple[str, str]:
+    """The attach vertices of two distinct ends of ``t``."""
+    if a == b:
+        raise DomainError(f"no geodesic from end {a!r} to itself")
+    return t.attach(a), t.attach(b)
+
+
+def _arc_coords(t: MetricTree, chain: Sequence[str]) -> tuple[tuple[Fraction, ...], int]:
+    """``(coords, k)`` of :meth:`PlanAtom.geodesic` for its vertex chain."""
+    index = t._root()
+    depth, level = index.depth, index.level
+    levels = [level[v] for v in chain]
+    k = levels.index(min(levels))
+    top = depth[chain[k]]
+    return tuple([top - depth[v] for v in chain[:k]] + [depth[v] - top for v in chain[k:]]), k
+
+
 def lift(pi: Coupling, t: MetricTree) -> DynamicalPlan:
     """Canonical plan over a coupling: one atom per pair, zero offsets.
 
-    Each pair's vertex chain comes from the rooted index
-    (:meth:`~wassertree.tree.MetricTree.vertex_path`).  The chain climbs
-    to the meet of its two attach vertices and then descends, so its
-    point nearest the base is the vertex of least hop level, and the
-    coord of a vertex ``w`` is ``depth[w] - depth[meet]``, negated on
-    the climb: one subtraction per vertex.
+    A pair with one end on both sides, or with an end ``t`` lacks, is a
+    :class:`DomainError`.  No path is built; :meth:`PlanAtom.geodesic`
+    reads each atom's path from the tree when it is needed.
     """
     t.require_valid()
-    index = t._root()
-    depth, level = index.depth, index.level
     atoms = []
     for (a, b) in sorted(pi.atoms):
-        path = path_between_ends(t, a, b)
-        chain = path.vertices
-        levels = [level[v] for v in chain]
-        k = levels.index(min(levels))
-        top = depth[chain[k]]
-        coords = tuple([top - depth[v] for v in chain[:k]] + [depth[v] - top for v in chain[k:]])
-        atoms.append(
-            PlanAtom(
-                source=a,
-                target=b,
-                mass=pi.atoms[(a, b)],
-                path=path,
-                base_vertex=chain[k],
-                coords=coords,
-                time_offset=Fraction(0),
-            )
-        )
+        _attaches(t, a, b)
+        atoms.append(PlanAtom(a, b, pi.atoms[(a, b)]))
     return DynamicalPlan(atoms=tuple(atoms))
 
 
 def with_offsets(plan: DynamicalPlan, offsets: Sequence[Fraction]) -> DynamicalPlan:
     if len(offsets) != len(plan.atoms):
         raise DomainError("one offset per atom required")
-    atoms = tuple(
-        PlanAtom(
-            source=a.source,
-            target=a.target,
-            mass=a.mass,
-            path=a.path,
-            base_vertex=a.base_vertex,
-            coords=a.coords,
-            time_offset=Fraction(off),
-        )
-        for a, off in zip(plan.atoms, offsets)
+    return DynamicalPlan(
+        atoms=tuple(replace(a, time_offset=Fraction(off)) for a, off in zip(plan.atoms, offsets))
     )
-    return DynamicalPlan(atoms=atoms)
 
 
 def plan_marginals(plan: DynamicalPlan) -> tuple[BoundaryMeasure, BoundaryMeasure]:
@@ -176,7 +173,7 @@ def plan_coupling(plan: DynamicalPlan) -> Coupling:
     return Coupling(atoms)
 
 
-def antagonist_pairs(plan: DynamicalPlan):
+def antagonist_pairs(plan: DynamicalPlan, t: MetricTree):
     """All atom pairs traversing some edge in opposite orientations.
 
     The witness is ``("edge", (u, v))`` for a finite edge or
@@ -194,10 +191,14 @@ def antagonist_pairs(plan: DynamicalPlan):
     atoms by source and by target end, list the ray pairs.  So the work
     is linear in the atoms' paths plus the number of pairs reported.
     """
-    atoms = plan.atoms
+    return _antagonists(plan.atoms, [a._chain(t) for a in plan.atoms])
+
+
+def _antagonists(atoms: Sequence[PlanAtom], chains: Sequence[Sequence[str]]):
+    """:func:`antagonist_pairs` of ``atoms``, whose vertex chains are ``chains``."""
     paths = [
-        [((u, v), 1) if u < v else ((v, u), -1) for (u, v) in a.path.edges]
-        for a in atoms
+        [((u, v), 1) if u < v else ((v, u), -1) for u, v in zip(chain, chain[1:])]
+        for chain in chains
     ]
     by_source: dict[str, list[int]] = {}
     by_target: dict[str, list[int]] = {}
@@ -221,7 +222,7 @@ def antagonist_pairs(plan: DynamicalPlan):
     return results
 
 
-def plan_edge_and_vertex_masses(plan: DynamicalPlan):
+def plan_edge_and_vertex_masses(plan: DynamicalPlan, t: MetricTree):
     """Oriented edge masses, vertex masses, and nearest-point masses.
 
     Returns ``(edge_mass, vertex_mass, base_mass)``: the mass of atoms
@@ -233,11 +234,12 @@ def plan_edge_and_vertex_masses(plan: DynamicalPlan):
     vertex_mass: dict[str, Fraction] = {}
     base_mass: dict[str, Fraction] = {}
     for a in plan.atoms:
-        for e in a.path.edges:
+        chain, _, k = a.geodesic(t)
+        for e in zip(chain, chain[1:]):
             edge_mass[e] = edge_mass.get(e, Fraction(0)) + a.mass
-        for v in a.path.vertices:
+        for v in chain:
             vertex_mass[v] = vertex_mass.get(v, Fraction(0)) + a.mass
-        base_mass[a.base_vertex] = base_mass.get(a.base_vertex, Fraction(0)) + a.mass
+        base_mass[chain[k]] = base_mass.get(chain[k], Fraction(0)) + a.mass
     return edge_mass, vertex_mass, base_mass
 
 
@@ -278,56 +280,34 @@ def check_flow_bounds(plan: DynamicalPlan, ff: FlowField) -> FlowBoundsReport:
     t = ff.tree
     _require_marginals(plan, ff)
 
-    edge_mass, vertex_mass, base_mass = plan_edge_and_vertex_masses(plan)
-
-    def mu(tail, head):
-        return edge_mass.get((tail, head), Fraction(0))
-
-    strict_edges = []
-    bounds_hold = True
+    edge_mass, vertex_mass, base_mass = plan_edge_and_vertex_masses(plan, t)
+    edges = []  # (site, plan mass, flow)
     for u, v, _length in t.edges:
         for tail, head in ((u, v), (v, u)):
-            bound = max(ff.flow(tail, head), Fraction(0))
-            got = mu(tail, head)
-            if got < bound:
-                bounds_hold = False
-                strict_edges.append(((tail, head), got, bound, "violated"))
-            elif got > bound:
-                strict_edges.append(((tail, head), got, bound, "strict"))
+            edges.append(((tail, head), edge_mass.get((tail, head), Fraction(0)), ff.flow(tail, head)))
     # End edges: inward traversals carry the source mass, outward the
-    # target mass; recorded for completeness.
+    # target mass; recorded for completeness.  The plan's marginals are
+    # ff's measures (checked above), so those masses are read from them.
     for end_id in sorted(t.ends):
         attach = t.attach(end_id)
         outward = ff.flow(attach, end_id)
-        uses = {
-            (attach, end_id): sum(
-                (a.mass for a in plan.atoms if a.target == end_id), Fraction(0)
-            ),
-            (end_id, attach): sum(
-                (a.mass for a in plan.atoms if a.source == end_id), Fraction(0)
-            ),
-        }
-        for (tail, head), got in uses.items():
-            flow = outward if tail == attach else -outward
+        edges.append(((attach, end_id), ff.plus.mass(end_id), outward))
+        edges.append(((end_id, attach), ff.minus.mass(end_id), -outward))
+    vertices = [(x, vertex_mass.get(x, Fraction(0)), ff.out.get(x, Fraction(0))) for x in t.vertices]
+
+    def departures(sites):
+        """``(site, got, bound, kind)`` wherever the plan's mass is not the bound."""
+        out = []
+        for site, got, flow in sites:
             bound = max(flow, Fraction(0))
-            if got < bound:
-                bounds_hold = False
-                strict_edges.append(((tail, head), got, bound, "violated"))
-            elif got > bound:
-                strict_edges.append(((tail, head), got, bound, "strict"))
+            if got != bound:
+                out.append((site, got, bound, "violated" if got < bound else "strict"))
+        return out
 
-    strict_vertices = []
-    for x in t.vertices:
-        got = vertex_mass.get(x, Fraction(0))
-        bound = ff.out.get(x, Fraction(0))
-        if got < bound:
-            bounds_hold = False
-            strict_vertices.append((x, got, bound, "violated"))
-        elif got > bound:
-            strict_vertices.append((x, got, bound, "strict"))
-
+    strict_edges, strict_vertices = departures(edges), departures(vertices)
+    bounds_hold = all(kind == "strict" for *_, kind in strict_edges + strict_vertices)
     all_equal = not strict_edges and not strict_vertices
-    antagonism_free = not antagonist_pairs(plan)
+    antagonism_free = not antagonist_pairs(plan, t)
     specific_matches: Optional[bool] = None
     if all_equal:
         specific_matches = all(
@@ -509,35 +489,21 @@ def flow_level_snapshot(
 
 
 def align_offsets_to_time_function(
-    plan: DynamicalPlan, tf: TimeFunction
+    plan: DynamicalPlan, tf: TimeFunction, t: MetricTree
 ) -> DynamicalPlan:
     """Shift each atom so its position at time t sits on time level t."""
-    return with_offsets(plan, [-tf.vertex_time[a.base_vertex] for a in plan.atoms])
-
-
-def reverse_plan(plan: DynamicalPlan, t: MetricTree) -> DynamicalPlan:
-    """Swap sources and targets; position at time t becomes position at -t."""
-    atoms = []
+    offsets = []
     for a in plan.atoms:
-        verts = tuple(reversed(a.path.vertices))
-        edges = tuple((v, u) for (u, v) in reversed(a.path.edges))
-        coords = tuple(-c for c in reversed(a.coords))
-        shift = coords[verts.index(a.base_vertex)]
-        assert shift == 0
-        atoms.append(
-            PlanAtom(
-                source=a.target,
-                target=a.source,
-                mass=a.mass,
-                path=GeodesicPath(
-                    source=a.target, target=a.source, vertices=verts, edges=edges
-                ),
-                base_vertex=a.base_vertex,
-                coords=coords,
-                time_offset=-a.time_offset,
-            )
-        )
-    return DynamicalPlan(atoms=tuple(atoms))
+        chain, _, k = a.geodesic(t)
+        offsets.append(-tf.vertex_time[chain[k]])
+    return with_offsets(plan, offsets)
+
+
+def reverse_plan(plan: DynamicalPlan) -> DynamicalPlan:
+    """Swap sources and targets; position at time t becomes position at -t."""
+    return DynamicalPlan(
+        atoms=tuple(PlanAtom(a.target, a.source, a.mass, -a.time_offset) for a in plan.atoms)
+    )
 
 
 @dataclass(frozen=True)
@@ -565,102 +531,46 @@ def _sign(x: Fraction) -> int:
     return 1 if x > 0 else -1 if x < 0 else 0
 
 
-def _hop_lengths(a: PlanAtom, t: MetricTree) -> Optional[list[Fraction]]:
-    """The edge lengths along ``a.path``, or None unless it is the geodesic between ``a``'s ends.
-
-    Read against the rooted index in time linear in the path: the
-    path's ends are the atom's, its vertex chain runs from the source's
-    attach vertex to the target's with ``edges`` the chain's hops, and
-    every hop goes from a vertex to its parent or to a child.  The chain
-    climbs and then descends once, and does not turn back along the
-    edge it came up (``x -> parent(x) -> x``), so it is the tree path.
-    """
-    path = a.path
-    verts = path.vertices
-    if (path.source, path.target) != (a.source, a.target) or not verts:
-        return None
-    if verts[0] != t.attach(a.source) or verts[-1] != t.attach(a.target):
-        return None
-    if path.edges != tuple(zip(verts, verts[1:])):
-        return None
-    index = t._root()
-    parent, parent_len = index.parent, index.parent_len
-    lengths = []
-    descending = False
-    before = None  # the tail of the previous hop
-    for u, v in path.edges:
-        if not descending and parent.get(u) == v:
-            lengths.append(parent_len[u])
-        elif parent.get(v) == u and (descending or v != before):
-            descending = True
-            lengths.append(parent_len[v])
-        else:
-            return None
-        before = u
-    return lengths
-
-
-def _require_well_formed(plan: DynamicalPlan, t: MetricTree) -> None:
-    """Refuse an atom whose coords are not arc length along its ends' geodesic.
-
-    No path is rebuilt: each atom's own path is checked hop by hop (see
-    :func:`_hop_lengths`), so the check is linear in the atoms' paths.
-    """
-    for a in plan.atoms:
-        name = f"atom {a.source}->{a.target}"
-        lengths = _hop_lengths(a, t)
-        if lengths is None:
-            raise DomainError(f"{name} does not follow the geodesic between its ends")
-        if len(a.coords) != len(a.path.vertices):
-            raise DomainError(f"{name} has {len(a.coords)} coords for {len(a.path.vertices)} vertices")
-        for (u, v), length, lo, hi in zip(a.path.edges, lengths, a.coords, a.coords[1:]):
-            if hi - lo != length:
-                raise DomainError(f"{name}: coords are not arc length on edge {(u, v)}")
-
-
 def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> GeodesicReport:
     """Check that a plan moves at unit Wasserstein speed on ``ff.tree``.
 
-    ``ff`` must be the flow field of the plan's own marginals, and every
-    atom must be well formed: its path is the geodesic between its ends
-    and its coords are arc length along that path (a
-    :class:`DomainError` otherwise).  ``lift``, ``with_offsets`` and
-    ``reverse_plan`` build only such atoms.  Well-formedness is checked
-    on each atom's own path, hop by hop against the tree's rooted index;
-    no path is rebuilt.
+    ``ff`` must be the flow field of the plan's own marginals (a
+    :class:`DomainError` otherwise).  Three checks: (a) no antagonist
+    pair of atoms; (b) the time function of the flow field is isometric
+    along every supported geodesic (each finite edge is traversed in its
+    positive orientation, mass enters through negative end-edges and
+    leaves through positive ones); (c) for each sampled pair r < s a
+    certificate that W2^2 between the two snapshots equals (s - r)^2.
+    Each atom's vertex chain is read from the tree once and serves all
+    three; its arc-length coords (:meth:`PlanAtom.geodesic`) are
+    computed only for the atoms that fail (b), the only ones (c) needs
+    them for.
 
-    Three checks: (a) no antagonist pair of atoms; (b) the time function
-    of the flow field is isometric along every supported geodesic (each
-    finite edge is traversed in its positive orientation, mass enters
-    through negative end-edges and leaves through positive ones); (c)
-    for each sampled pair r < s a certificate that W2^2 between the two
-    snapshots equals (s - r)^2.
-
-    The certificate of (c) has two sides.  Every well-formed atom moves
-    at unit speed along one complete geodesic, so the plan's own
-    coupling of the snapshots costs ``sum m * d(pos_r, pos_s)^2 =
-    (s - r)^2``, an upper bound that needs no distance computed.  The
-    time function tau has slope -1, 0 or +1 everywhere, so it is
-    1-Lipschitz and W2 >= W1 >= |E_s[tau] - E_r[tau]| for the two
-    probability snapshots, a lower bound.  Along an atom, tau has slope
-    ``-sgn(flow_to_end(source))`` on the source ray, ``sgn(flow(tail,
-    head))`` on each path edge and ``sgn(flow_to_end(target))`` on the
-    target ray, the flows that (b) reads anyway, each read from ``ff``'s
-    sparse maps on demand; so tau at the atom's
-    position is the integral of those slopes over its coords, up to a
-    constant per atom that cancels in ``E_s[tau] - E_r[tau]``.  A
-    tau-isometric atom contributes ``m * r``; any other one
-    reads prefix sums of its slopes at its path vertices and bisects its
-    coords once per sample time.  No time function over the tree, no
-    position and no tree point is built, and no flow off the atoms'
-    paths is read, so the check costs time linear in the atoms' paths, and (a) is linear in them too (see
-    :func:`antagonist_pairs`).  Each speed check is
-    ``(r, s, value, expected, ok)`` with ``value`` the lower bound,
-    ``expected = (s - r)^2`` and ``ok`` telling whether the bounds meet,
-    i.e. whether unit speed is certified.  When they do not, the exact
-    W2^2 lies somewhere in ``[value, expected]``.  A tau-isometric atom
-    gains exactly ``s - r`` in tau, so when (b) holds every pair is
-    certified; an uncertified pair implies a failure of (b).
+    The certificate of (c) has two sides.  Every atom moves at unit
+    speed along one complete geodesic, so the plan's own coupling of
+    the snapshots costs ``sum m * d(pos_r, pos_s)^2 = (s - r)^2``, an
+    upper bound that needs no distance computed.  The time function tau
+    has slope -1, 0 or +1 everywhere, so it is 1-Lipschitz and W2 >= W1
+    >= |E_s[tau] - E_r[tau]| for the two probability snapshots, a lower
+    bound.  Along an atom, tau has slope ``-sgn(flow_to_end(source))``
+    on the source ray, ``sgn(flow(tail, head))`` on each path edge and
+    ``sgn(flow_to_end(target))`` on the target ray, the flows that (b)
+    reads anyway, each read from ``ff``'s sparse maps on demand; so tau
+    at the atom's position is the integral of those slopes over its
+    coords, up to a constant per atom that cancels in ``E_s[tau] -
+    E_r[tau]``.  A tau-isometric atom contributes ``m * r``; any other
+    one reads prefix sums of its slopes at its path vertices and
+    bisects its coords once per sample time.  No time function over the
+    tree, no position and no tree point is built, and no flow off the
+    atoms' paths is read, so the check costs time linear in the atoms'
+    paths, and (a) is linear in them too (see :func:`antagonist_pairs`).
+    Each speed check is ``(r, s, value, expected, ok)`` with ``value``
+    the lower bound, ``expected = (s - r)^2`` and ``ok`` telling whether
+    the bounds meet, i.e. whether unit speed is certified.  When they do
+    not, the exact W2^2 lies somewhere in ``[value, expected]``.  A
+    tau-isometric atom gains exactly ``s - r`` in tau, so when (b) holds
+    every pair is certified; an uncertified pair implies a failure of
+    (b).
     """
     times = sorted({Fraction(x) for x in sample_times})
     if len(times) < 2:
@@ -668,8 +578,8 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
 
     t = ff.tree
     _require_marginals(plan, ff)
-    _require_well_formed(plan, t)
-    pairs = antagonist_pairs(plan)
+    chains = [a._chain(t) for a in plan.atoms]
+    pairs = _antagonists(plan.atoms, chains)
 
     # Along each atom, tau has slope sgn(flow) in the atom's direction on
     # every edge and ray.  A tau-isometric atom (all slopes +1) is at
@@ -679,8 +589,8 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     tau_failures = []
     straight_mass = Fraction(1)
     bent = []
-    for idx, a in enumerate(plan.atoms):
-        edges = a.path.edges
+    for idx, (a, chain) in enumerate(zip(plan.atoms, chains)):
+        edges = list(zip(chain, chain[1:]))
         flows = [ff.flow(tail, head) for tail, head in edges]
         enter, leave = ff.flow_to_end(a.source), ff.flow_to_end(a.target)
         if enter < 0 < leave and all(f > 0 for f in flows):
@@ -692,18 +602,17 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
             tau_failures.append((idx, ("ray", a.target)))
         straight_mass -= a.mass
         slopes = [_sign(f) for f in flows]
-        coords = a.coords
+        coords, _ = _arc_coords(t, chain)
         prefix = [Fraction(0)]
         for slope, lo, hi in zip(slopes, coords, coords[1:]):
             prefix.append(prefix[-1] + slope * (hi - lo))
-        bent.append((a, -_sign(enter), slopes, _sign(leave), prefix))
+        bent.append((a, coords, -_sign(enter), slopes, _sign(leave), prefix))
 
     def mean_tau(r: Fraction) -> Fraction:
         """E_r[tau] less the sum of the per-atom constants."""
         total = straight_mass * r
-        for a, enter_slope, slopes, leave_slope, prefix in bent:
+        for a, coords, enter_slope, slopes, leave_slope, prefix in bent:
             c = r + a.time_offset
-            coords = a.coords
             if c <= coords[0]:
                 tau = enter_slope * (c - coords[0])
             elif c >= coords[-1]:

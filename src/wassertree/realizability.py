@@ -78,10 +78,18 @@ class RealizabilityReport:
     sample_times: tuple[Fraction, ...]
 
 
-def _default_times(plan: DynamicalPlan) -> tuple[Fraction, ...]:
+def _default_times(plan: DynamicalPlan, t: MetricTree) -> tuple[Fraction, ...]:
+    """-1, 0, 1 and two times at which every atom is out on its rays.
+
+    An atom's path runs from ``depth[attach] - depth[meet]`` before its
+    point nearest the base to that far after it, so no chain is built.
+    """
+    depth = t._root().depth
     spread = Fraction(0)
     for a in plan.atoms:
-        spread = max(spread, abs(a.coords[0]), abs(a.coords[-1]))
+        u, v = t.attach(a.source), t.attach(a.target)
+        top = depth[t.meet(u, v)]
+        spread = max(spread, depth[u] - top, depth[v] - top)
     far = spread + 1
     return tuple(sorted({-far, Fraction(-1), Fraction(0), Fraction(1), far}))
 
@@ -122,7 +130,7 @@ def decide(
     coupling, value = solve_optimal_coupling(ff)
     moment = specific_flow_second_moment(t, ff)
     plan = lift(coupling, t)
-    times = tuple(sorted({Fraction(x) for x in sample_times})) if sample_times else _default_times(plan)
+    times = tuple(sorted({Fraction(x) for x in sample_times})) if sample_times else _default_times(plan, t)
     report = verify_geodesic(plan, ff, times)
     return RealizabilityReport(
         antipodal=True,

@@ -267,17 +267,18 @@ def snapshot_to_json(s: Snapshot, t: MetricTree, decimal: Optional[int] = None) 
     return {"time": format_fraction(s.time), "atoms": atoms}
 
 
-def plan_to_json(plan: DynamicalPlan) -> dict:
+def plan_to_json(plan: DynamicalPlan, t: MetricTree) -> dict:
     atoms = []
     for a in plan.atoms:
+        vertices, _, k = a.geodesic(t)
         atoms.append(
             {
                 "source": a.source,
                 "target": a.target,
                 "mass": format_fraction(a.mass),
-                "base_vertex": a.base_vertex,
+                "base_vertex": vertices[k],
                 "time_offset": format_fraction(a.time_offset),
-                "vertices": list(a.path.vertices),
+                "vertices": list(vertices),
             }
         )
     return {"atoms": atoms}
@@ -316,7 +317,7 @@ def realizability_to_json(
             out["lp_value_decimal"] = decimal_string(report.lp_value, decimal)
             out["specific_flow_moment_decimal"] = decimal_string(report.flow_moment, decimal)
         out["coupling"] = coupling_to_json(report.coupling)["atoms"]
-        out["plan"] = plan_to_json(report.plan)["atoms"]
+        out["plan"] = plan_to_json(report.plan, t)["atoms"]
         out["geodesic"] = _geodesic_to_json(report.geodesic)
     if snapshots is not None:
         out["snapshots"] = [snapshot_to_json(s, t, decimal) for s in snapshots]

@@ -73,9 +73,6 @@ class Coupling:
             right[b] = right.get(b, Fraction(0)) + mass
         return BoundaryMeasure(left), BoundaryMeasure(right)
 
-    def transpose(self) -> "Coupling":
-        return Coupling({(b, a): m for (a, b), m in self.atoms.items()})
-
     def __eq__(self, other):
         return isinstance(other, Coupling) and self.atoms == other.atoms
 

@@ -60,8 +60,10 @@ class MetricTree:
         ends: Iterable[tuple[str, str]],
         base: str,
     ):
-        self.vertices: tuple[str, ...] = tuple(sorted({str(v) for v in vertices}))
+        vertex_ids = [str(v) for v in vertices]
+        self.vertices: tuple[str, ...] = tuple(sorted(set(vertex_ids)))
         self._vertex_set = frozenset(self.vertices)
+        self._duplicate_vertices = len(vertex_ids) != len(self.vertices)
         raw_edges = [(str(u), str(v), parse_fraction(length)) for u, v, length in edges]
         self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(
             sorted((*_edge_key(u, v), length) for u, v, length in raw_edges)
@@ -94,9 +96,6 @@ class MetricTree:
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v]) + len(self.vertex_ends[v])
-
-    def end_ids(self) -> tuple[str, ...]:
-        return tuple(self.ends)
 
     def attach(self, end_id: str) -> str:
         try:
@@ -264,6 +263,8 @@ def _structural_violations(t: MetricTree) -> list[str]:
 
     if t.base not in t._vertex_set:
         violations.append(f"base vertex {t.base!r} is not a vertex")
+    if t._duplicate_vertices:
+        violations.append("duplicate vertex ids")
     if t._duplicate_ends:
         violations.append("duplicate end ids")
     for end_id, attach in t.ends.items():

@@ -9,8 +9,10 @@ equality.
 
 from __future__ import annotations
 
+from wassertree.tree import path_between_ends
 
-def antagonist_pairs(plan):
+
+def antagonist_pairs(plan, t):
     """All atom pairs traversing some edge in opposite orientations.
 
     Returns ``(i, j, witness)`` for ``i < j`` in increasing order; the
@@ -19,7 +21,7 @@ def antagonist_pairs(plan):
     when it is atom j's target, else for atom i's target when it is
     atom j's source.
     """
-    oriented = [frozenset(a.path.edges) for a in plan.atoms]
+    oriented = [frozenset(path_between_ends(t, a.source, a.target).edges) for a in plan.atoms]
     results = []
     for i in range(len(plan.atoms)):
         for j in range(i + 1, len(plan.atoms)):

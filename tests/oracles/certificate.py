@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from wassertree.dynamics import (
-    GeodesicReport,
-    _require_marginals,
-    _require_well_formed,
-    build_time_function,
-)
+from wassertree.dynamics import GeodesicReport, _require_marginals, build_time_function
 from wassertree.errors import DomainError
+from wassertree.tree import path_between_ends
 
 from .antagonism import antagonist_pairs
 
@@ -30,12 +26,11 @@ def verify_geodesic(plan, ff, sample_times) -> GeodesicReport:
         raise DomainError("need at least two distinct sample times")
     t = ff.tree
     _require_marginals(plan, ff)
-    _require_well_formed(plan, t)
-    pairs = antagonist_pairs(plan)
+    pairs = antagonist_pairs(plan, t)
 
     tau_failures = []
     for idx, a in enumerate(plan.atoms):
-        for (tail, head) in a.path.edges:
+        for (tail, head) in path_between_ends(t, a.source, a.target).edges:
             if ff.flow(tail, head) <= 0:
                 tau_failures.append((idx, ("edge", (tail, head))))
         if ff.flow_to_end(a.source) >= 0:

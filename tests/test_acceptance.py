@@ -150,7 +150,7 @@ def test_criterion_4_monotonicity_equivalence():
         for k in range(100):
             pi = random_coupling(rng, minus, plus)
             monotone = cycles.is_cyclically_monotone(pi, cm).monotone
-            free = not antagonism.antagonist_pairs(lift(pi, t))
+            free = not antagonism.antagonist_pairs(lift(pi, t), t)
             scan = is_cyclically_monotone(pi, t).monotone
             if not monotone == free == scan:
                 failures.append(
@@ -195,11 +195,11 @@ def test_criterion_6_uncrossing():
         _, best = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         for _ in range(5):
             pi = random_coupling(rng, minus, plus)
-            if not antagonist_pairs(lift(pi, t)):
+            if not antagonist_pairs(lift(pi, t), t):
                 continue
             crossed_seen += 1
             fixed = uncross(pi, t)
-            if antagonist_pairs(lift(fixed, t)):
+            if antagonist_pairs(lift(fixed, t), t):
                 failures.append(f"instance {idx}: uncross left antagonists")
             if coupling_value(fixed, cm) > coupling_value(pi, cm):
                 failures.append(f"instance {idx}: uncross increased the objective")

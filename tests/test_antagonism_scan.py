@@ -90,7 +90,7 @@ def test_scan_matches_antagonist_pairs_9_to_20_atoms():
         result = is_cyclically_monotone(pi, t)
         assert result.exhaustive
         support = sorted(pi.atoms)
-        pairs = antagonism.antagonist_pairs(lift(pi, t))
+        pairs = antagonism.antagonist_pairs(lift(pi, t), t)
         assert result.monotone == (not pairs)
         if pairs:
             violated += 1

@@ -73,6 +73,22 @@ def test_validate_cycle_exit_2(tmp_path):
     assert any("acyclic" in v for v in out["violations"])
 
 
+def test_duplicate_vertex_ids_exit_2_everywhere(tmp_path):
+    payload = {
+        **CATERPILLAR,
+        "vertices": ["v0", "v1", "v0"],
+        "coupling": {"atoms": [{"from": "A", "to": "B", "mass": "1/2"}, {"from": "C", "to": "D", "mass": "1/2"}]},
+    }
+    path = write(tmp_path, "dup.json", payload)
+    result = run_cli("validate", "--input", path)
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["violations"] == ["duplicate vertex ids"]
+    for command in ("flows", "d0", "solve", "check-monotone", "realize"):
+        result = run_cli(command, "--input", path)
+        assert result.returncode == 2, command
+        assert result.stderr == "invalid instance: duplicate vertex ids\n", command
+
+
 def test_validate_bad_measure_sum_exit_2(tmp_path):
     payload = dict(CATERPILLAR)
     payload["measures"] = {"minus": {"A": "1/3"}, "plus": {"B": "1"}}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,9 +7,8 @@ from wassertree import (
     BoundaryMeasure,
     Coupling,
     DomainError,
-    DynamicalPlan,
-    GeodesicPath,
     MetricTree,
+    PlanAtom,
     TreePoint,
     align_offsets_to_time_function,
     antagonist_pairs,
@@ -20,7 +18,6 @@ from wassertree import (
     dist,
     flow_level_snapshot,
     lift,
-    path_between_ends,
     plan_coupling,
     plan_edge_and_vertex_masses,
     plan_marginals,
@@ -60,17 +57,29 @@ def test_lift_caterpillar(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     plan = _optimal_plan(caterpillar, minus, plus)
     assert len(plan.atoms) == 2
-    by_pair = {(a.source, a.target): a for a in plan.atoms}
-    assert by_pair[("A", "B")].base_vertex == "v0"
-    assert by_pair[("C", "D")].base_vertex == "v1"
+    by_pair = {(a.source, a.target): a.geodesic(caterpillar) for a in plan.atoms}
+    assert by_pair[("A", "B")] == (("v0",), (0,), 0)
+    assert by_pair[("C", "D")] == (("v1",), (0,), 0)
     assert all(a.time_offset == 0 for a in plan.atoms)
 
 
 def test_lift_point_mass(caterpillar):
     pi = Coupling({("A", "D"): Fraction(1)})
     plan = lift(pi, caterpillar)
-    assert len(plan.atoms) == 1
-    assert plan.atoms[0].base_vertex == "v0"
+    assert plan.atoms == (PlanAtom("A", "D", Fraction(1)),)
+    assert plan.atoms[0].geodesic(caterpillar) == (("v0", "v1"), (0, 2), 0)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [(("A", "A"), "no geodesic from end 'A' to itself"), (("A", "Z"), "unknown end 'Z'"), (("Z", "A"), "unknown end 'Z'")],
+    ids=["one-end-on-both-sides", "unknown-target", "unknown-source"],
+)
+def test_lift_and_geodesic_refuse_a_pair_without_a_geodesic(caterpillar, pair, message):
+    with pytest.raises(DomainError, match=message):
+        lift(Coupling({pair: Fraction(1)}), caterpillar)
+    with pytest.raises(DomainError, match=message):
+        PlanAtom(*pair, Fraction(1)).geodesic(caterpillar)
 
 
 def test_lift_round_trip(caterpillar, caterpillar_measures):
@@ -86,19 +95,19 @@ def test_lift_round_trip(caterpillar, caterpillar_measures):
 
 def test_antagonists_bad_coupling(caterpillar):
     bad = Coupling({("A", "D"): Fraction(1, 2), ("C", "B"): Fraction(1, 2)})
-    pairs = antagonist_pairs(lift(bad, caterpillar))
+    pairs = antagonist_pairs(lift(bad, caterpillar), caterpillar)
     assert len(pairs) == 1
     assert pairs[0][2] == ("edge", ("v0", "v1"))
 
 
 def test_antagonists_optimal_empty(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
-    assert antagonist_pairs(_optimal_plan(caterpillar, minus, plus)) == []
+    assert antagonist_pairs(_optimal_plan(caterpillar, minus, plus), caterpillar) == []
 
 
 def test_antagonists_single_atom(caterpillar):
     plan = lift(Coupling({("A", "D"): Fraction(1)}), caterpillar)
-    assert antagonist_pairs(plan) == []
+    assert antagonist_pairs(plan, caterpillar) == []
 
 
 # -- edge and vertex masses ----------------------------------------------------
@@ -107,14 +116,14 @@ def test_antagonists_single_atom(caterpillar):
 def test_plan_masses_optimal(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     plan = _optimal_plan(caterpillar, minus, plus)
-    edge_mass, vertex_mass, base_mass = plan_edge_and_vertex_masses(plan)
+    edge_mass, vertex_mass, base_mass = plan_edge_and_vertex_masses(plan, caterpillar)
     assert edge_mass.get(("v0", "v1"), Fraction(0)) == 0
     assert base_mass == {"v0": Fraction(1, 2), "v1": Fraction(1, 2)}
 
 
 def test_plan_masses_bad(caterpillar):
     bad = Coupling({("A", "D"): Fraction(1, 2), ("C", "B"): Fraction(1, 2)})
-    edge_mass, vertex_mass, _ = plan_edge_and_vertex_masses(lift(bad, caterpillar))
+    edge_mass, vertex_mass, _ = plan_edge_and_vertex_masses(lift(bad, caterpillar), caterpillar)
     assert edge_mass[("v0", "v1")] == Fraction(1, 2)
     assert edge_mass[("v1", "v0")] == Fraction(1, 2)
     assert vertex_mass["v0"] == 1 and vertex_mass["v1"] == 1
@@ -296,7 +305,7 @@ def test_level_snapshot_matches_aligned_plan(caterpillar, caterpillar_measures):
     ff = compute_flow_field(caterpillar, minus, plus)
     tf = build_time_function(caterpillar, ff)
     plan = _optimal_plan(caterpillar, minus, plus)
-    aligned = align_offsets_to_time_function(plan, tf)
+    aligned = align_offsets_to_time_function(plan, tf, caterpillar)
     for time in (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)):
         level = flow_level_snapshot(caterpillar, ff, tf, time)
         assert level.snapshot.atoms == snapshot(aligned, time, caterpillar).atoms
@@ -315,11 +324,11 @@ def test_level_snapshot_matches_aligned_plan_random():
         t, minus, plus = _instance(rng)
         pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         plan = lift(pi, t)
-        if antagonist_pairs(plan):
+        if antagonist_pairs(plan, t):
             continue
         ff = compute_flow_field(t, minus, plus)
         tf = build_time_function(t, ff)
-        aligned = align_offsets_to_time_function(plan, tf)
+        aligned = align_offsets_to_time_function(plan, tf, t)
         for time in (Fraction(-5), Fraction(-1, 2), Fraction(0), Fraction(2, 3), Fraction(4)):
             level = flow_level_snapshot(t, ff, tf, time)
             assert level.snapshot.atoms == snapshot(aligned, time, t).atoms
@@ -343,11 +352,11 @@ def test_level_snapshot_differs_from_zero_offsets_off_base_levels():
     assert tf.vertex_time["g"] == 2
     pi, _ = solve_optimal_coupling(ff)
     plan = lift(pi, t)
-    assert not antagonist_pairs(plan)
+    assert not antagonist_pairs(plan, t)
     level0 = flow_level_snapshot(t, ff, tf, 0).snapshot
     zero0 = snapshot(plan, 0, t)
     assert level0.atoms != zero0.atoms
-    aligned = align_offsets_to_time_function(plan, tf)
+    aligned = align_offsets_to_time_function(plan, tf, t)
     assert snapshot(aligned, 0, t).atoms == level0.atoms
 
 
@@ -359,8 +368,8 @@ def test_reverse_plan_mirrors_snapshots_random():
     for _ in range(20):
         t, minus, plus = _instance(rng)
         pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
-        plan = lift(pi, t)
-        reversed_plan = reverse_plan(plan, t)
+        plan = with_offsets(lift(pi, t), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in pi.atoms])
+        reversed_plan = reverse_plan(plan)
         nm, np_ = plan_marginals(reversed_plan)
         assert nm == plus and np_ == minus
         for time in (Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(2)):
@@ -398,81 +407,6 @@ def test_verify_geodesic_bad_plan(caterpillar, caterpillar_measures):
         caterpillar, snapshot(bad, r, caterpillar), snapshot(bad, s, caterpillar)
     )
     assert exact == 2
-
-
-def _fork():
-    """Two arms below the base r: r-x-z and r-y-w.
-
-    Ends: R at r, X at x, A and B at z, Y at y, C and D at w, so the
-    geodesic from A to D climbs z, x, r and descends r, y, w.
-    """
-    return MetricTree(
-        vertices=["r", "x", "z", "y", "w"],
-        edges=[("r", "x", 1), ("x", "z", 2), ("r", "y", 3), ("y", "w", Fraction(1, 2))],
-        ends=[("R", "r"), ("X", "x"), ("A", "z"), ("B", "z"), ("Y", "y"), ("C", "w"), ("D", "w")],
-        base="r",
-    )
-
-
-def _walk(t, source, target, vertices):
-    """An atom's path along ``vertices``; coords are arc length wherever a hop is an edge."""
-    coords = [Fraction(0)]
-    for u, v in zip(vertices, vertices[1:]):
-        coords.append(coords[-1] + t.edge_length.get((u, v) if u <= v else (v, u), Fraction(1)))
-    edges = tuple(zip(vertices, vertices[1:]))
-    return {"path": GeodesicPath(source, target, tuple(vertices), edges), "coords": tuple(coords)}
-
-
-_FOLLOW = "does not follow the geodesic between its ends"
-
-
-@pytest.mark.parametrize(
-    "pair, malform, message",
-    [
-        (
-            ("A", "D"),
-            lambda t, a: {"coords": a.coords[:1] + (a.coords[1] + 1,) + a.coords[2:]},
-            "coords are not arc length on edge ('z', 'x')",
-        ),
-        (("A", "D"), lambda t, a: {"path": path_between_ends(t, "C", "B")}, _FOLLOW),
-        (("A", "D"), lambda t, a: {"coords": a.coords[:1]}, "has 1 coords for 5 vertices"),
-        # Climbs past the meet x to r and comes straight back: x -> r -> x.
-        (("A", "X"), lambda t, a: _walk(t, "A", "X", ["z", "x", "r", "x"]), _FOLLOW),
-        (("A", "D"), lambda t, a: _walk(t, "A", "D", ["x", "r", "y", "w"]), _FOLLOW),
-        (
-            ("A", "D"),
-            lambda t, a: {"path": dataclasses.replace(a.path, edges=(("x", "z"), *a.path.edges[1:]))},
-            _FOLLOW,
-        ),
-        (
-            ("A", "D"),
-            lambda t, a: {"path": dataclasses.replace(a.path, source="D", target="A")},
-            _FOLLOW,
-        ),
-        (("X", "R"), lambda t, a: _walk(t, "X", "R", ["x", "z", "x", "r"]), _FOLLOW),
-        (("A", "D"), lambda t, a: _walk(t, "A", "D", ["z", "r", "y", "w"]), _FOLLOW),
-    ],
-    ids=[
-        "shifted-coordinate",
-        "path-of-another-pair",
-        "truncated-coords",
-        "backtrack-at-the-turn",
-        "starts-at-the-wrong-attach-vertex",
-        "edges-disagree-with-vertices",
-        "source-and-target-swapped",
-        "descends-then-climbs",
-        "non-adjacent-hop",
-    ],
-)
-def test_verify_geodesic_refuses_malformed_atom(pair, malform, message):
-    t = _fork()
-    plan, ff = _single_atom(t, *pair)
-    (atom,) = plan.atoms
-    bad = DynamicalPlan(atoms=(dataclasses.replace(atom, **malform(t, atom)),))
-    with pytest.raises(DomainError) as refused:
-        verify_geodesic(bad, ff, [0, 1])
-    assert str(refused.value).startswith(f"atom {pair[0]}->{pair[1]}") and message in str(refused.value)
-    assert verify_geodesic(plan, ff, [0, 1]).passed
 
 
 def _single_atom(t, source="A", target="D"):
@@ -539,8 +473,10 @@ def _witness_window(plan, t, pairs):
     times = []
     for idx in (i, j):
         atom = plan.atoms[idx]
-        times.append(atom.vertex_coord(u) - atom.time_offset)
-        times.append(atom.vertex_coord(v) - atom.time_offset)
+        vertices, coords, _ = atom.geodesic(t)
+        coord = dict(zip(vertices, coords))
+        times.append(coord[u] - atom.time_offset)
+        times.append(coord[v] - atom.time_offset)
     r0, s0 = min(times), max(times)
     margin = (s0 - r0) - edge_len
     bound = (2 * margin * margin - (margin + edge_len) ** 2) / (4 * edge_len)
@@ -556,7 +492,7 @@ def test_antagonism_iff_snapshot_coupling_not_monotone():
         t, minus, plus = _instance(rng, max_side=4)
         pi = random_coupling(rng, minus, plus)
         plan = lift(pi, t)
-        pairs = antagonist_pairs(plan)
+        pairs = antagonist_pairs(plan, t)
         if pairs:
             crossed_seen += 1
             r, s = _witness_window(plan, t, pairs)

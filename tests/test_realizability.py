@@ -85,7 +85,7 @@ def test_swap_yields_time_reversed_geodesic():
         fwd = decide(t, minus, plus)
         bwd = decide(t, plus, minus)
         assert bwd.lp_value == fwd.lp_value
-        reversed_plan = reverse_plan(fwd.plan, t)
+        reversed_plan = reverse_plan(fwd.plan)
         for time in (Fraction(-2), Fraction(0), Fraction(3, 2)):
             assert (
                 snapshot(reversed_plan, time, t).atoms

@@ -26,12 +26,16 @@ from wassertree import (
     decide,
     family_analyze,
     future_ends,
+    lift,
+    path_between_ends,
+    serialize,
+    solve_optimal_coupling,
     specific_flow_second_moment,
     spine_truncation,
 )
 from wassertree.flows import flow_class, subtree_masses
 
-from gen import random_measures, random_tree
+from gen import random_coupling, random_measures, random_tree
 from oracles import rooted as oracle
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -126,6 +130,35 @@ def test_spine_truncations(level):
     )
     t, minus, plus = spec.truncation(level)
     _assert_flows_match(t, minus, plus, f"geometric K={level}")
+
+
+def test_atom_geodesic_matches_rooted_oracle():
+    """Each atom's chain, coords and nearest point, against eager exact depths."""
+    instances = _instances(seed=20261020, count=150)
+    for sample in sorted(SAMPLES.glob("*.json")):
+        if not sample.stem.startswith("spine"):
+            tree, (minus, plus), _ = serialize.load_instance(str(sample))
+            instances.append((tree, minus, plus))
+    for name in ("spine_constant", "spine_geometric"):
+        spec = FamilySpec.from_json(json.loads((SAMPLES / f"{name}.json").read_text()))
+        instances += [spec.truncation(level) for level in (1, 7, 200)]
+    rng = random.Random(20261021)
+    atoms = 0
+    for idx, (t, minus, plus) in enumerate(instances):
+        _, depth = oracle.rooting(t)
+        optimal, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
+        for pi in (optimal, random_coupling(rng, minus, plus)):
+            for a in lift(pi, t).atoms:
+                where = f"instance {idx}: {a.source}->{a.target}"
+                vertices, coords, k = a.geodesic(t)
+                assert vertices == path_between_ends(t, a.source, a.target).vertices, where
+                meet = oracle.meet(t, t.attach(a.source), t.attach(a.target))
+                assert vertices[k] == meet, where
+                assert list(coords) == [
+                    (depth[w] - depth[meet]) * (-1 if i < k else 1) for i, w in enumerate(vertices)
+                ], where
+                atoms += 1
+    assert atoms >= 1000, atoms
 
 
 def test_cancelling_subtree_is_neutral():

@@ -415,7 +415,7 @@ def test_uncross_properties_random():
         fm, fp = fixed.marginals()
         assert fm == minus and fp == plus
         assert coupling_value(fixed, cm) <= coupling_value(pi, cm)
-        assert not antagonist_pairs(lift(fixed, t))
+        assert not antagonist_pairs(lift(fixed, t), t)
         assert is_cyclically_monotone(fixed, t).monotone
         _, best = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         assert coupling_value(fixed, cm) == best
@@ -440,7 +440,7 @@ def test_solver_output_is_uncrossed_and_monotone():
     for _ in range(40):
         t, minus, plus = _instance(rng)
         pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
-        assert not antagonist_pairs(lift(pi, t))
+        assert not antagonist_pairs(lift(pi, t), t)
         assert is_cyclically_monotone(pi, t).monotone
 
 
@@ -454,5 +454,5 @@ def test_monotone_iff_antagonism_free_many_instances():
         for _ in range(3):
             pi = random_coupling(rng, minus, plus)
             monotone = is_cyclically_monotone(pi, t).monotone
-            free = not antagonist_pairs(lift(pi, t))
+            free = not antagonist_pairs(lift(pi, t), t)
             assert monotone == free

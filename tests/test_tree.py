@@ -154,6 +154,7 @@ _PATH = dict(
         ({"ends": [("A", "v0"), ("B", "v0"), ("C", "x")]}, "attaches to unknown vertex"),
         # No vertices at all: the missing base is reported first.
         ({"vertices": [], "edges": [], "ends": []}, "base vertex 'v0' is not a vertex"),
+        ({"vertices": ["v0", "a", "v1", "v0"]}, "duplicate vertex ids"),
     ],
 )
 def test_canonicalize_refuses_structural_violations(change, fragment):

@@ -138,7 +138,7 @@ def _non_geodesic_plans(seed, count):
                 plan, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in plan.atoms]
             )
         if route & 2:
-            plan, minus, plus = reverse_plan(plan, t), plus, minus
+            plan, minus, plus = reverse_plan(plan), plus, minus
         out.append((t, plan, compute_flow_field(t, minus, plus)))
     return out
 

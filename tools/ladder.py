@@ -6,7 +6,9 @@ from one fixed seed.  ``decide`` is run stage by stage (parse, that is
 ``MetricTree(...)`` from the raw vertex, edge and end lists; validate
 and root; flows; solve with the moment; lift; verify) and also end to
 end on a tree built outside the clock, ``--repeats`` times; the median
-of each time is kept.  The
+of each time is kept.  ``lift_s`` only builds the atoms (two ends, a
+mass and an offset each); every read of an atom's path from the tree,
+with the default sample times, falls in ``verify_s``.  The
 row also records the largest denominator bit-length among the flows,
 the coupling, the value, the moment and the speed checks.
 
@@ -112,7 +114,7 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
         stamps.append(perf_counter())
         plan = wt.lift(coupling, t)
         stamps.append(perf_counter())
-        report = wt.verify_geodesic(plan, ff, _default_times(plan))
+        report = wt.verify_geodesic(plan, ff, _default_times(plan, t))
         stamps.append(perf_counter())
         for name, start, end in zip(STAGES, stamps, stamps[1:]):
             samples[name].append(end - start)

@@ -14,7 +14,10 @@ base must remain a vertex) and reported as a warning.
 
 All values are immutable after construction and every operation is a
 pure function of its inputs, so instances can be shared freely across
-threads.
+threads.  The one write after construction is the rooted index's depth
+map, which stores each exact depth the first time it is read; a depth
+is a function of the tree alone, so whichever thread writes it writes
+the same value.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ class MetricTree:
                 self.vertex_ends[attach] = self.vertex_ends[attach] + (end_id,)
 
         self._validation: Optional[ValidationReport] = None
+        self._walk: Optional[_Walk] = None
         self._rooted = None
 
     # -- structure ---------------------------------------------------------
@@ -105,7 +109,7 @@ class MetricTree:
 
     def validation_report(self) -> "ValidationReport":
         if self._validation is None:
-            self._validation = _validate(self)
+            self._validation, self._walk = _validate(self)
         return self._validation
 
     def require_valid(self) -> None:
@@ -122,7 +126,7 @@ class MetricTree:
     def _root(self) -> "RootedIndex":
         if self._rooted is None:
             self.require_valid()
-            self._rooted = _build_index(self)
+            self._rooted = _build_index(self._walk)
         return self._rooted
 
     def parent(self, v: str) -> Optional[str]:
@@ -203,6 +207,9 @@ class RootedIndex(NamedTuple):
     ``order[pos[v]:stop[v]]``, so "``w`` lies below ``v``" is the
     interval test ``pos[v] <= pos[w] < stop[v]``.  ``level`` counts the
     edges up to the base; climbing by level needs no rational compare.
+    ``depth`` maps a vertex to its exact distance from the base,
+    computed on first read: read it by subscript only, since a vertex
+    not yet read is absent from ``get``, ``in`` and iteration.
     """
 
     parent: dict[str, Optional[str]]
@@ -218,10 +225,49 @@ class RootedIndex(NamedTuple):
         return self.pos[v] <= self.pos[w] < self.stop[v]
 
 
-def _build_index(t: MetricTree) -> RootedIndex:
+class _Depths(dict):
+    """Exact depths, each summed on its first read.
+
+    A missing vertex climbs its parents to the nearest known depth and
+    stores every depth on the way back down, so reading a whole path
+    costs one addition per vertex, without recursion.  An unknown
+    vertex raises :class:`KeyError`.
+    """
+
+    __slots__ = ("_parent", "_parent_len")
+
+    def __init__(self, base: str, parent: dict, parent_len: dict):
+        super().__init__({base: Fraction(0)})
+        self._parent = parent
+        self._parent_len = parent_len
+
+    def __missing__(self, v: str) -> Fraction:
+        parent = self._parent
+        chain = [v]
+        u = parent[v]
+        while u not in self:
+            chain.append(u)
+            u = parent[u]
+        d = self[u]
+        parent_len = self._parent_len
+        for w in reversed(chain):
+            d += parent_len[w]
+            self[w] = d
+        return d
+
+
+class _Walk(NamedTuple):
+    """One depth-first walk from the base: preorder, parents and hop levels."""
+
+    order: list[str]
+    parent: dict[str, Optional[str]]
+    parent_len: dict[str, Fraction]
+    level: dict[str, int]
+
+
+def _walk_from_base(t: MetricTree) -> _Walk:
     parent: dict[str, Optional[str]] = {t.base: None}
     parent_len: dict[str, Fraction] = {}
-    depth: dict[str, Fraction] = {t.base: Fraction(0)}
     level: dict[str, int] = {t.base: 0}
     order: list[str] = []
     stack = [t.base]
@@ -232,9 +278,13 @@ def _build_index(t: MetricTree) -> RootedIndex:
             if w not in parent:
                 parent[w] = v
                 parent_len[w] = length
-                depth[w] = depth[v] + length
                 level[w] = level[v] + 1
                 stack.append(w)
+    return _Walk(order, parent, parent_len, level)
+
+
+def _build_index(walk: _Walk) -> RootedIndex:
+    order, parent, parent_len, level = walk
     pos = {v: i for i, v in enumerate(order)}
     stop = dict.fromkeys(order, len(order))
     # A subtree ends where the next vertex at its level or above starts.
@@ -243,6 +293,7 @@ def _build_index(t: MetricTree) -> RootedIndex:
         while open_ and level[open_[-1]] >= level[v]:
             stop[open_.pop()] = i
         open_.append(v)
+    depth = _Depths(order[0], parent, parent_len)
     return RootedIndex(parent, parent_len, depth, level, tuple(order), pos, stop)
 
 
@@ -253,11 +304,14 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def _structural_violations(t: MetricTree) -> list[str]:
+def _structural_violations(t: MetricTree) -> tuple[list[str], Optional[_Walk]]:
     """Ids, edges, connectivity, acyclicity and at least two ends.
 
     Everything a tree needs except canonical degrees, so it also serves
-    :func:`canonicalize`, whose inputs have degree-2 vertices.
+    :func:`canonicalize`, whose inputs have degree-2 vertices.  Returns
+    the violations and the connectivity walk from the base, which the
+    rooted index reuses (``None`` when the ids or edges are faulty and
+    the walk did not run).
     """
     violations: list[str] = []
 
@@ -279,48 +333,43 @@ def _structural_violations(t: MetricTree) -> list[str]:
             violations.append(f"self-loop at {u!r}")
         if u not in t._vertex_set or v not in t._vertex_set:
             violations.append(f"edge ({u!r},{v!r}) references unknown vertex")
-        if length <= 0:
+        if length.numerator <= 0:
             violations.append(f"edge ({u!r},{v!r}) has non-positive length {length}")
         if (u, v) in seen_pairs:
             violations.append(f"parallel edges between {u!r} and {v!r}")
         seen_pairs.add((u, v))
 
     if violations:
-        return violations
+        return violations, None
 
     # Connectivity and acyclicity of the finite part (ends are leaves and
-    # cannot close a cycle).  The base is a vertex, so there is one.
-    seen = {t.vertices[0]}
-    stack = [t.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w, _ in t.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(t.vertices):
+    # cannot close a cycle).  The base is a vertex, so the walk can start
+    # there and, on a tree, serve as the rooted index.
+    walk = _walk_from_base(t)
+    if len(walk.order) != len(t.vertices):
         violations.append("not connected")
     elif len(t.edges) != len(t.vertices) - 1:
         violations.append("not acyclic")
 
     if len(t.ends) < 2:
         violations.append("fewer than 2 ends")
-    return violations
+    return violations, walk
 
 
-def _validate(t: MetricTree) -> ValidationReport:
-    violations = _structural_violations(t)
+def _validate(t: MetricTree) -> tuple[ValidationReport, Optional[_Walk]]:
+    violations, walk = _structural_violations(t)
     warnings: list[str] = []
     if not violations:
         # A connected tree of two or more vertices has no isolated one.
+        adjacency, vertex_ends = t.adjacency, t.vertex_ends
         for v in t.vertices:
-            if t.degree(v) == 2:
+            if len(adjacency[v]) + len(vertex_ends[v]) == 2:
                 if v == t.base:
                     warnings.append("base vertex has degree 2 (kept as exception)")
                 else:
                     violations.append(f"non-canonical vertex {v!r} (degree 2)")
 
-    return ValidationReport(not violations, tuple(violations), tuple(warnings))
+    return ValidationReport(not violations, tuple(violations), tuple(warnings)), walk
 
 
 def validate_tree(t: MetricTree) -> ValidationReport:
@@ -336,7 +385,7 @@ def canonicalize(t: MetricTree) -> MetricTree:
     warning afterwards.  Every violation ``validate_tree`` reports other
     than a degree-2 vertex is a :class:`StructureError` here too.
     """
-    violations = _structural_violations(t)
+    violations, _ = _structural_violations(t)
     if violations:
         raise StructureError("; ".join(violations))
     adjacency = {v: dict(t.adjacency[v]) for v in t.vertices}

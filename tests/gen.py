@@ -59,9 +59,11 @@ def random_vertex_coupling(
     rng: random.Random, minus: BoundaryMeasure, plus: BoundaryMeasure
 ) -> Coupling:
     """A random vertex of the transport polytope (northwest corner on
-    shuffled supports)."""
-    rows = list(minus.support)
-    cols = list(plus.support)
+    shuffled supports).  The supports are sorted before the shuffle, since
+    a frozenset's order follows string hashing and the draw must depend
+    on ``rng`` alone."""
+    rows = sorted(minus.support)
+    cols = sorted(plus.support)
     rng.shuffle(rows)
     rng.shuffle(cols)
     supply = {a: minus.mass(a) for a in rows}

@@ -15,6 +15,14 @@ spine, ``solve`` and ``realize`` on two 400-vertex trees, and
 ``deep_*`` record.  ``tests/test_golden.py``
 replays them.  Re-capturing is a deliberate golden update: review the
 diff and record it in CHANGES.md.
+
+The stored inputs were drawn while ``tests/gen.py`` shuffled coupling
+supports in frozenset order, which follows the hash seed.  It now
+shuffles them sorted, so this script no longer reproduces the stored
+inputs: the couplings of 20 of the 50 ``gen_*`` instances come out
+different (every other field, and every other input, is the same).  A
+re-capture therefore changes those inputs and the records that read
+their couplings.
 """
 
 from __future__ import annotations
@@ -153,7 +161,7 @@ def corpus() -> list[tuple[str, Path, list]]:
 
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
-        # tests/gen.py iterates frozensets, whose order follows the hash seed.
+        # The stored inputs were drawn under this seed (see the docstring).
         print("capture.py needs PYTHONHASHSEED=0 to reproduce its corpus", file=sys.stderr)
         return 2
     inputs_dir = HERE / "inputs"

@@ -33,12 +33,15 @@ from wassertree import (
     specific_flow_second_moment,
     spine_truncation,
 )
+from wassertree import tree as tree_module
 from wassertree.flows import flow_class, subtree_masses
 
 from gen import random_coupling, random_measures, random_tree
+from golden.capture import run
 from oracles import rooted as oracle
 
 SAMPLES = Path(__file__).parent.parent / "samples"
+GOLDEN = Path(__file__).parent / "golden" / "expected"
 
 
 def _instances(seed, count):
@@ -92,7 +95,8 @@ def test_index_invariants():
     for t, _, _ in _instances(seed=31, count=100):
         index = t._root()
         parent, depth = oracle.rooting(t)
-        assert index.parent == parent and index.depth == depth
+        assert index.parent == parent
+        assert all(index.depth[v] == depth[v] for v in t.vertices)
         assert sorted(index.order) == list(t.vertices) and index.order[0] == t.base
         for v in t.vertices:
             p = index.parent[v]
@@ -159,6 +163,123 @@ def test_atom_geodesic_matches_rooted_oracle():
                 ], where
                 atoms += 1
     assert atoms >= 1000, atoms
+
+
+class _OracleChecked:
+    """The production depth map, each read checked against the eager oracle."""
+
+    def __init__(self, lazy, eager):
+        self.lazy, self.eager, self.reads = lazy, eager, 0
+
+    def __getitem__(self, v):
+        got = self.lazy[v]
+        assert got == self.eager[v], f"depth[{v}]"
+        self.reads += 1
+        return got
+
+
+class _SubscriptOnly:
+    """A depth map that refuses every scan and every probe."""
+
+    def __init__(self, depth):
+        self.depth, self.reads = depth, 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.depth[v]
+
+    def _refuse(self, *args):
+        raise AssertionError("a route scanned or probed the depth map")
+
+    __iter__ = keys = items = values = get = __contains__ = _refuse
+
+
+def _spine(level):
+    masses = [Fraction(1, k) for k in range(1, level + 1)]
+    lengths = [Fraction(k % 5 + 1, k % 3 + 1) for k in range(1, level + 1)]
+    return spine_truncation(masses, lengths)
+
+
+def test_depths_read_on_demand_match_eager_oracle():
+    """decide reads each depth once computed, and reports as with eager depths."""
+    instances = _instances(seed=20261022, count=150)
+    for sample in sorted(SAMPLES.glob("*.json")):
+        if not sample.stem.startswith("spine"):
+            tree, (minus, plus), _ = serialize.load_instance(str(sample))
+            instances.append((tree, minus, plus))
+    for name in ("spine_constant", "spine_geometric"):
+        spec = FamilySpec.from_json(json.loads((SAMPLES / f"{name}.json").read_text()))
+        instances += [spec.truncation(level) for level in (1, 200, 1000)]
+    instances += [_spine(level) for level in (1, 200, 1000)]
+    rng = random.Random(20261023)
+    reads = 0
+    for idx, (t, minus, plus) in enumerate(instances):
+        fresh = MetricTree(t.vertices, t.edges, t.ends.items(), t.base)
+        _, eager = oracle.rooting(t)
+        index = fresh._root()
+        checked = _OracleChecked(index.depth, eager)
+        fresh._rooted = index._replace(depth=checked)
+        lazy = decide(fresh, minus, plus)
+        fresh._rooted = index._replace(depth=dict(eager))
+        assert decide(fresh, minus, plus) == lazy, f"instance {idx}"
+        reads += checked.reads
+        # A fresh map read in any order climbs and memoizes consistently.
+        order = list(t.vertices)
+        rng.shuffle(order)
+        depth = tree_module._build_index(fresh._walk).depth
+        assert [depth[v] for v in order] == [eager[v] for v in order], f"instance {idx}"
+    assert reads >= 10000, reads
+
+
+def test_rooting_reuses_the_validation_walk():
+    """One walk from the base serves validation and the rooted index."""
+    for t, _, _ in _instances(seed=4715, count=40):
+        parent, depth = oracle.rooting(t)
+        fresh = MetricTree(t.vertices, t.edges, t.ends.items(), t.base)
+        fresh.require_valid()
+        fresh.adjacency = None
+        index = fresh._root()
+        assert index.parent == parent and index.order[0] == t.base
+        assert all(index.depth[v] == depth[v] for v in t.vertices)
+
+
+def test_deepest_spine_vertex_read_first():
+    t, _, _ = _spine(1000)
+    index = t._root()
+    deepest = max(t.vertices, key=index.level.__getitem__)
+    assert index.level[deepest] == 999
+    _, eager = oracle.rooting(t)
+    assert index.depth[deepest] == eager[deepest]
+    assert all(index.depth[v] == eager[v] for v in t.vertices)
+    with pytest.raises(KeyError):
+        index.depth["no such vertex"]
+
+
+def test_no_route_scans_or_probes_the_depth_map(monkeypatch):
+    """Every production route reads depths by subscript alone."""
+    guards = []
+
+    def guarded(walk):
+        index = build_index(walk)
+        guards.append(_SubscriptOnly(index.depth))
+        return index._replace(depth=guards[-1])
+
+    build_index = tree_module._build_index
+    monkeypatch.setattr(tree_module, "_build_index", guarded)
+    for t, minus, plus in _instances(seed=4714, count=40):
+        assert decide(t, minus, plus).geodesic.passed
+    for sample in sorted(SAMPLES.glob("*.json")):
+        if sample.stem.startswith("spine"):
+            spec = FamilySpec.from_json(json.loads(sample.read_text()))
+            family_analyze(spec, 16, Fraction(1, 1000))
+        else:
+            tree, (minus, plus), _ = serialize.load_instance(str(sample))
+            assert decide(tree, minus, plus).antipodal
+        record = json.loads((GOLDEN / f"{sample.stem}.json").read_text())
+        for case in record["cases"]:
+            args = case["args"]
+            assert run(args[0], sample, args[1:]) == (case["exit"], case["stdout"]), args
+    assert sum(guard.reads for guard in guards) >= 1000
 
 
 def test_cancelling_subtree_is_neutral():

@@ -139,6 +139,27 @@ _PATH = dict(
     base="v0",
 )
 
+# The connectivity walk starts at the base: these put the base in the
+# smaller component of a disconnected graph, or on a cycle.
+_TRIANGLE = [("w", "x", 1), ("x", "y", 1), ("y", "w", 1)]
+_WALK_FROM_BASE = [
+    ({"vertices": ["v0", "a", "v1", "w"], "base": "w"}, ("not connected",)),
+    (
+        {"vertices": ["v0", "a", "v1", "w"], "base": "w", "ends": [("A", "v0")]},
+        ("not connected", "fewer than 2 ends"),
+    ),
+    ({"edges": [("v0", "a", 1), ("a", "v1", 1), ("v1", "v0", 1)], "base": "a"}, ("not acyclic",)),
+    (
+        {
+            "vertices": ["v0", "a", "v1", "w", "x", "y"],
+            "edges": [("v0", "a", 1), ("a", "v1", 1), *_TRIANGLE],
+            "ends": [("A", "x")],
+            "base": "x",
+        },
+        ("not connected", "fewer than 2 ends"),
+    ),
+]
+
 
 @pytest.mark.parametrize(
     "change, fragment",
@@ -155,6 +176,7 @@ _PATH = dict(
         # No vertices at all: the missing base is reported first.
         ({"vertices": [], "edges": [], "ends": []}, "base vertex 'v0' is not a vertex"),
         ({"vertices": ["v0", "a", "v1", "v0"]}, "duplicate vertex ids"),
+        *((change, violations[0]) for change, violations in _WALK_FROM_BASE),
     ],
 )
 def test_canonicalize_refuses_structural_violations(change, fragment):
@@ -164,6 +186,11 @@ def test_canonicalize_refuses_structural_violations(change, fragment):
     with pytest.raises(StructureError, match=fragment) as raised:
         canonicalize(t)
     assert str(raised.value) == "; ".join(report.violations)
+
+
+@pytest.mark.parametrize("change, violations", _WALK_FROM_BASE)
+def test_walk_from_the_base_reports_every_violation(change, violations):
+    assert validate_tree(MetricTree(**{**_PATH, **change})).violations == violations
 
 
 def test_canonicalize_idempotent_random():

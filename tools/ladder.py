@@ -6,7 +6,10 @@ from one fixed seed.  ``decide`` is run stage by stage (parse, that is
 ``MetricTree(...)`` from the raw vertex, edge and end lists; validate
 and root; flows; solve with the moment; lift; verify) and also end to
 end on a tree built outside the clock, ``--repeats`` times; the median
-of each time is kept.  ``lift_s`` only builds the atoms (two ends, a
+of each time is kept.  ``validate_root_s`` walks the tree once from
+the base and sums no depth: the rooted index computes each exact depth
+the first time it is read, so a depth is paid in the stage that first
+reads it.  ``lift_s`` only builds the atoms (two ends, a
 mass and an offset each); every read of an atom's path from the tree,
 with the default sample times, falls in ``verify_s``.  The
 row also records the largest denominator bit-length among the flows,

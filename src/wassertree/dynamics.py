@@ -4,10 +4,12 @@ A coupling of two boundary measures lifts to a plan with one atom per
 coupled pair: the geodesic between the two ends, unit speed, oriented
 from source to target.  On a tree two distinct ends are joined by
 exactly one complete geodesic, so an atom is its two ends, its mass and
-its time offset, and its path is read from the tree when needed.  The
-canonical parametrization puts each atom at time 0 on the point of its
-geodesic nearest the base vertex; a rational ``time_offset`` shifts an
-individual atom along its own line.
+its time offset, and its path is read from the tree when needed, in one
+walk (:meth:`~wassertree.tree.MetricTree.path`) that gives its edges as
+``(child, sign)`` steps and its meet.  The canonical parametrization
+puts each atom at time 0 on the point of its geodesic nearest the base
+vertex, the meet; a rational ``time_offset`` shifts an individual atom
+along its own line.
 
 The module provides the mass bookkeeping that mirrors the edge/vertex
 flows (and the comparison between the two), antagonism detection, the
@@ -37,7 +39,7 @@ from .flows import (
     flow_class,
 )
 from .transport import Coupling, _crossings
-from .tree import MetricTree, TreePoint, dist
+from .tree import MetricTree, TreePoint, _edge_key, dist
 
 __all__ = [
     "PlanAtom",
@@ -62,6 +64,8 @@ __all__ = [
     "with_offsets",
 ]
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class PlanAtom:
@@ -83,18 +87,18 @@ class PlanAtom:
         """``(vertices, coords, k)``: the atom's path and its arc-length coords.
 
         ``vertices`` is the chain from the source's attach vertex to the
-        target's (:meth:`~wassertree.tree.MetricTree.vertex_path`).  It
-        climbs to the meet of the two and then descends, so its point
-        nearest the base is ``vertices[k]``, the vertex of least hop
-        level, and the coord of a vertex ``w`` is ``depth[w] -
-        depth[meet]``, negated on the climb: one subtraction per vertex.
+        target's, read from one walk
+        (:meth:`~wassertree.tree.MetricTree.path`).  It climbs ``k``
+        edges to the meet of the two and then descends, so its point
+        nearest the base is ``vertices[k]``, the meet, and the coord of
+        a vertex ``w`` is ``depth[w] - depth[meet]``, negated on the
+        climb: one subtraction per vertex.
         """
-        chain = self._chain(t)
-        return (chain, *_arc_coords(t, chain))
+        return _arc_coords(t, *self._path(t))
 
-    def _chain(self, t: MetricTree) -> tuple[str, ...]:
-        """The ``vertices`` of :meth:`geodesic`, without its coords."""
-        return t.vertex_path(*_attaches(t, self.source, self.target))
+    def _path(self, t: MetricTree) -> tuple[list[tuple[str, int]], str]:
+        """``(steps, meet)`` of the atom's path, as :meth:`MetricTree.path` gives them."""
+        return t.path(*_attaches(t, self.source, self.target))
 
     def position(self, time: Fraction, t: MetricTree) -> TreePoint:
         verts, coords, _ = self.geodesic(t)
@@ -122,14 +126,16 @@ def _attaches(t: MetricTree, a: str, b: str) -> tuple[str, str]:
     return t.attach(a), t.attach(b)
 
 
-def _arc_coords(t: MetricTree, chain: Sequence[str]) -> tuple[tuple[Fraction, ...], int]:
-    """``(coords, k)`` of :meth:`PlanAtom.geodesic` for its vertex chain."""
-    index = t._root()
-    depth, level = index.depth, index.level
-    levels = [level[v] for v in chain]
-    k = levels.index(min(levels))
-    top = depth[chain[k]]
-    return tuple([top - depth[v] for v in chain[:k]] + [depth[v] - top for v in chain[k:]]), k
+def _arc_coords(t: MetricTree, steps, meet: str) -> tuple[tuple[str, ...], tuple[Fraction, ...], int]:
+    """:meth:`PlanAtom.geodesic` of the path with ``steps`` through ``meet``."""
+    depth = t._root().depth
+    top = depth[meet]
+    k = sum(sign < 0 for _, sign in steps)
+    vertices = [y for y, _ in steps]
+    coords = [depth[y] - top if sign > 0 else top - depth[y] for y, sign in steps]
+    vertices.insert(k, meet)
+    coords.insert(k, Fraction(0))
+    return tuple(vertices), tuple(coords), k
 
 
 def lift(pi: Coupling, t: MetricTree) -> DynamicalPlan:
@@ -183,23 +189,21 @@ def antagonist_pairs(plan: DynamicalPlan, t: MetricTree):
     edge witness is the smallest shared edge ``(u, v)``, ``u < v``, and
     a ray witness names atom i's source before its target.
 
-    Each atom's path is read as ``(edge, sign)`` steps, the edge as
-    ``(u, v)`` with ``u < v`` and the sign telling which way the atom
-    takes it, and one index of the steps (the one behind
+    Each atom's path is read as ``(child, sign)`` steps
+    (:meth:`~wassertree.tree.MetricTree.path`), the sign telling
+    whether the atom climbs from the child or descends into it, and one
+    index of the steps (the one behind
     :func:`~wassertree.transport.is_cyclically_monotone`) lists every
-    pair sharing an edge the opposite way; two more indices, of the
+    pair sharing a child with opposite signs; two more indices, of the
     atoms by source and by target end, list the ray pairs.  So the work
     is linear in the atoms' paths plus the number of pairs reported.
     """
-    return _antagonists(plan.atoms, [a._chain(t) for a in plan.atoms])
+    return _antagonists(t, plan.atoms, [a._path(t)[0] for a in plan.atoms])
 
 
-def _antagonists(atoms: Sequence[PlanAtom], chains: Sequence[Sequence[str]]):
-    """:func:`antagonist_pairs` of ``atoms``, whose vertex chains are ``chains``."""
-    paths = [
-        [((u, v), 1) if u < v else ((v, u), -1) for u, v in zip(chain, chain[1:])]
-        for chain in chains
-    ]
+def _antagonists(t: MetricTree, atoms: Sequence[PlanAtom], paths):
+    """:func:`antagonist_pairs` of ``atoms``, whose path steps are ``paths``."""
+    parent = t._root().parent
     by_source: dict[str, list[int]] = {}
     by_target: dict[str, list[int]] = {}
     for j, a in enumerate(atoms):
@@ -214,7 +218,8 @@ def _antagonists(atoms: Sequence[PlanAtom], chains: Sequence[Sequence[str]]):
                 partners.add(j)
         for j in sorted(partners):
             if j in shared:
-                results.append((i, j, ("edge", min(shared[j]))))
+                edge = min(_edge_key(y, parent[y]) for y in shared[j])
+                results.append((i, j, ("edge", edge)))
             elif ai.source == atoms[j].target:
                 results.append((i, j, ("ray", ai.source)))
             else:
@@ -541,10 +546,13 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     positive orientation, mass enters through negative end-edges and
     leaves through positive ones); (c) for each sampled pair r < s a
     certificate that W2^2 between the two snapshots equals (s - r)^2.
-    Each atom's vertex chain is read from the tree once and serves all
-    three; its arc-length coords (:meth:`PlanAtom.geodesic`) are
-    computed only for the atoms that fail (b), the only ones (c) needs
-    them for.
+    Each atom's path is walked once
+    (:meth:`~wassertree.tree.MetricTree.path`), and its ``(child,
+    sign)`` steps and meet serve all three: (a) indexes the steps, (b)
+    reads each step's flow from ``ff.below`` and names an edge only for
+    the atoms that fail, and its arc-length coords
+    (:meth:`PlanAtom.geodesic`) are computed only for those atoms too,
+    the only ones (c) needs them for.
 
     The certificate of (c) has two sides.  Every atom moves at unit
     speed along one complete geodesic, so the plan's own coupling of
@@ -578,8 +586,9 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
 
     t = ff.tree
     _require_marginals(plan, ff)
-    chains = [a._chain(t) for a in plan.atoms]
-    pairs = _antagonists(plan.atoms, chains)
+    paths = [a._path(t) for a in plan.atoms]
+    pairs = _antagonists(t, plan.atoms, [steps for steps, _ in paths])
+    parent, below = t._root().parent, ff.below
 
     # Along each atom, tau has slope sgn(flow) in the atom's direction on
     # every edge and ray.  A tau-isometric atom (all slopes +1) is at
@@ -589,20 +598,24 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     tau_failures = []
     straight_mass = Fraction(1)
     bent = []
-    for idx, (a, chain) in enumerate(zip(plan.atoms, chains)):
-        edges = list(zip(chain, chain[1:]))
-        flows = [ff.flow(tail, head) for tail, head in edges]
+    for idx, (a, (steps, meet)) in enumerate(zip(plan.atoms, paths)):
+        # The flow from parent(y) into y is below[y]; a climb takes it backwards.
+        flows = [below.get(y, _ZERO) if sign > 0 else -below.get(y, _ZERO) for y, sign in steps]
         enter, leave = ff.flow_to_end(a.source), ff.flow_to_end(a.target)
         if enter < 0 < leave and all(f > 0 for f in flows):
             continue
-        tau_failures.extend((idx, ("edge", e)) for e, f in zip(edges, flows) if f <= 0)
+        tau_failures.extend(
+            (idx, ("edge", (y, parent[y]) if sign < 0 else (parent[y], y)))
+            for (y, sign), f in zip(steps, flows)
+            if f <= 0
+        )
         if enter >= 0:
             tau_failures.append((idx, ("ray", a.source)))
         if leave <= 0:
             tau_failures.append((idx, ("ray", a.target)))
         straight_mass -= a.mass
         slopes = [_sign(f) for f in flows]
-        coords, _ = _arc_coords(t, chain)
+        _, coords, _ = _arc_coords(t, steps, meet)
         prefix = [Fraction(0)]
         for slope, lo, hi in zip(slopes, coords, coords[1:]):
             prefix.append(prefix[-1] + slope * (hi - lo))

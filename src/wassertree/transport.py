@@ -22,8 +22,10 @@ for every support size).  The uncrossing rewrite (:func:`uncross`)
 removes such opposite traversals edge by edge without ever increasing
 the objective.
 
-No route here builds a cost table or runs a general transport solver;
-the tests compare each route with such solvers by exact equality.
+Both routes walk a pair's path once, with
+:meth:`~wassertree.tree.MetricTree.path`.  No route here builds a cost
+table or runs a general transport solver; the tests compare each route
+with such solvers by exact equality.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Mapping, Optional, Union
 from .errors import DomainError
 from .flows import BoundaryMeasure, FlowField, check_antipodal, subtree_masses
 from .rationals import parse_fraction
-from .tree import MetricTree, gromov_product
+from .tree import MetricTree
 
 __all__ = [
     "Coupling",
@@ -81,27 +83,6 @@ class Coupling:
         return f"Coupling({{{inner}}})"
 
 
-def _path_steps(t: MetricTree, u: str, v: str) -> list[tuple[str, int]]:
-    """Edges of the vertex path from ``u`` to ``v``, keyed by child.
-
-    Each step is ``(child, sign)``: sign -1 for an edge climbed from the
-    child to its parent, +1 for one descended into the child.  The flow
-    through the step in the path's direction is ``sign`` times the flow
-    from the parent into the child.
-    """
-    index = t._root()
-    parent, level = index.parent, index.level
-    steps = []
-    while u != v:
-        if level[u] >= level[v]:
-            steps.append((u, -1))
-            u = parent[u]
-        else:
-            steps.append((v, 1))
-            v = parent[v]
-    return steps
-
-
 def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
     """Exact minimizer over the transport polytope of ``ff``'s measures.
 
@@ -134,11 +115,14 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
 
     The value returned is the coupling's own cost, ``-sum m * (a|b)^2``
     over its atoms, so comparing it with ``-specific_flow_moment``
-    checks the greedy.
+    checks the greedy.  It is summed as the cells load: the walk of a
+    cell's path (:meth:`~wassertree.tree.MetricTree.path`) also yields
+    its meet, whose depth is the cell's Gromov product, so no path is
+    walked twice.
     """
     t, minus, plus = ff.tree, ff.minus, ff.plus
     index = t._root()
-    parent, pos, stop = index.parent, index.pos, index.stop
+    parent, depth, pos, stop = index.parent, index.depth, index.pos, index.stop
     # residual[y]: remaining flow from parent(y) into y, once read.
     residual: dict[str, Fraction] = {}
 
@@ -161,6 +145,7 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
     demand = dict(plus.atoms)
     cols = [(b, t.attach(b)) for b in sorted(plus.atoms)]
     atoms: dict[tuple[str, str], Fraction] = {}
+    value = Fraction(0)
     for a in sorted(minus.atoms):
         x = t.attach(a)
         left = minus.atoms[a]
@@ -173,8 +158,10 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
             if not need:
                 continue
             q = left if left < need else need
-            steps = _path_steps(t, x, y_b)
-            for y, sign in steps:
+            steps, meet = t.path(x, y_b)
+            # The climbs lie below the top, on positive residual flow, so
+            # only a descent can block: read those first.
+            for y, sign in reversed(steps):
                 r = residual[y] if y in residual else read(y)
                 cap = r if sign > 0 else -r
                 if cap < q:
@@ -191,18 +178,14 @@ def solve_optimal_coupling(ff: FlowField) -> tuple[Coupling, Fraction]:
             left -= q
             demand[b] = need - q
             atoms[(a, b)] = q
+            value -= q * depth[meet] ** 2
             if not left:
                 break
             top = reach_top(x)
             lo, hi = pos[top], stop[top]
         if left:
             raise DomainError("flow-capped greedy left supply unplaced")
-    coupling = Coupling(atoms)
-    value = Fraction(0)
-    for (a, b), m in coupling.atoms.items():
-        g = gromov_product(t, a, b)
-        value -= m * g * g
-    return coupling, value
+    return Coupling(atoms), value
 
 
 def optimal_value(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> Fraction:
@@ -255,10 +238,10 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     On a tree a coupling is cyclically monotone for the Gromov cost
     exactly when no two of its pairs are antagonists, i.e. traverse some
     edge in opposite directions.  Each support atom's path is read as
-    ``(child, sign)`` steps (:func:`_path_steps`), and one index of
-    those steps (:func:`_crossings`) finds the lexicographically first
-    pair ``i < j`` of the sorted support whose steps share a child with
-    opposite signs; the witness is
+    ``(child, sign)`` steps (:meth:`~wassertree.tree.MetricTree.path`),
+    and one index of those steps (:func:`_crossings`) finds the
+    lexicographically first pair ``i < j`` of the sorted support whose
+    steps share a child with opposite signs; the witness is
     ``(support[i], support[j])``.  With no such pair the coupling is
     monotone.  The verdict is exact for every support size, so
     ``exhaustive`` is always True.
@@ -282,7 +265,7 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     support = sorted(pi.atoms)
     if {a for a, _ in support} & {b for _, b in support}:
         raise DomainError("coupling source and target ends overlap")
-    paths = [_path_steps(t, t.attach(a), t.attach(b)) for a, b in support]
+    paths = [t.path(t.attach(a), t.attach(b))[0] for a, b in support]
     for i, shared in _crossings(paths):
         if shared:
             return MonotonicityResult(False, (support[i], support[min(shared)]), True)
@@ -292,13 +275,14 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
 def _crossings(paths):
     """Opposite traversals among paths, one path at a time.
 
-    ``paths[i]`` lists path i's steps as ``(edge, sign)`` pairs, the
-    sign telling which way the edge is taken.  One index maps each step
-    to the increasing indices of the paths that take it.  For each
-    ``i`` in increasing order this yields ``(i, shared)``, where
-    ``shared`` maps every ``j > i`` whose path takes some edge of path
-    ``i`` the other way to those edges, in path ``i``'s order.  The work
-    is linear in the total path length plus the number of crossings.
+    ``paths[i]`` lists path i's ``(child, sign)`` steps, as
+    :meth:`~wassertree.tree.MetricTree.path` returns them.  One index
+    maps each step to the increasing indices of the paths that take it.
+    For each ``i`` in increasing order this yields ``(i, shared)``,
+    where ``shared`` maps every ``j > i`` whose path takes some edge of
+    path ``i`` the other way to those edges' children, in path ``i``'s
+    order.  The work is linear in the total path length plus the number
+    of crossings.
     """
     crossers: dict[tuple, list[int]] = {}
     for i, steps in enumerate(paths):
@@ -306,11 +290,11 @@ def _crossings(paths):
             crossers.setdefault(step, []).append(i)
     for i, steps in enumerate(paths):
         shared: dict[int, list] = {}
-        for edge, sign in steps:
-            opposite = crossers.get((edge, -sign))
+        for child, sign in steps:
+            opposite = crossers.get((child, -sign))
             if opposite:
                 for j in opposite[bisect_right(opposite, i) :]:
-                    shared.setdefault(j, []).append(edge)
+                    shared.setdefault(j, []).append(child)
         yield i, shared
 
 

@@ -85,8 +85,6 @@ class MetricTree:
                 self.adjacency[u].append((v, length))
             if v in self.adjacency and u != v:
                 self.adjacency[v].append((u, length))
-        for v in self.adjacency:
-            self.adjacency[v].sort()
         self.vertex_ends: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
         for end_id, attach in self.ends.items():
             if attach in self.vertex_ends:
@@ -146,32 +144,36 @@ class MetricTree:
         below = index.order[index.pos[v] : index.stop[v]]
         return frozenset(e for w in below for e in self.vertex_ends[w])
 
-    def vertex_path(self, u: str, v: str) -> tuple[str, ...]:
-        """The unique vertex chain from ``u`` to ``v``."""
+    def path(self, u: str, v: str) -> tuple[list[tuple[str, int]], str]:
+        """The unique path from ``u`` to ``v`` as ``(steps, meet)``, base as root.
+
+        ``meet`` is the lowest common ancestor.  ``steps`` lists the
+        path's edges in path order as ``(child, sign)``: first the climbs
+        from ``u`` (sign -1, ``child`` up to its parent), then the
+        descents toward ``v`` (sign +1, the parent down into ``child``).
+        The walk climbs by hop level, with no rational compare.
+        """
         index = self._root()
         parent, level = index.parent, index.level
-        up, down = [], []
-        a, b = u, v
-        while a != b:
-            if level[a] >= level[b]:
-                up.append(a)
-                a = parent[a]
+        steps, down = [], []
+        while u != v:
+            if level[u] >= level[v]:
+                steps.append((u, -1))
+                u = parent[u]
             else:
-                down.append(b)
-                b = parent[b]
-        return tuple(up + [a] + list(reversed(down)))
+                down.append((v, 1))
+                v = parent[v]
+        steps.extend(reversed(down))
+        return steps, u
+
+    def vertex_path(self, u: str, v: str) -> tuple[str, ...]:
+        """The unique vertex chain from ``u`` to ``v``."""
+        steps, meet = self.path(u, v)
+        return tuple([y for y, sign in steps if sign < 0] + [meet] + [y for y, sign in steps if sign > 0])
 
     def meet(self, u: str, v: str) -> str:
         """Lowest common ancestor of two vertices with the base as root."""
-        index = self._root()
-        parent, level = index.parent, index.level
-        a, b = u, v
-        while a != b:
-            if level[a] >= level[b]:
-                a = parent[a]
-            else:
-                b = parent[b]
-        return a
+        return self.path(u, v)[1]
 
     def meets_with(self, v: str) -> dict[str, str]:
         """``meet(v, w)`` for every vertex ``w``, in one pass over the tree.

@@ -88,7 +88,26 @@ def _assert_tree_routes_match(t, label):
     for u in t.vertices:
         for v in t.vertices:
             assert t.meet(u, v) == oracle.meet(t, u, v), f"{label}: meet({u},{v})"
-            assert t.vertex_path(u, v) == oracle.vertex_path(t, u, v), f"{label}: path"
+            _assert_walk_matches(t, u, v, f"{label}: path({u},{v})")
+
+
+def _assert_walk_matches(t, u, v, label):
+    """``path(u, v)``: tree edges, climbs before descents, the oracle's chain and meet."""
+    expected = oracle.vertex_path(t, u, v)
+    assert t.vertex_path(u, v) == expected, label
+    steps, meet = t.path(u, v)
+    parent = t._root().parent
+    signs = [sign for _, sign in steps]
+    assert set(signs) <= {-1, 1} and signs == sorted(signs), label
+    chain = [u]
+    for y, sign in steps:
+        assert parent[y] is not None, label
+        assert tree_module._edge_key(y, parent[y]) in t.edge_length, label
+        tail, head = (y, parent[y]) if sign < 0 else (parent[y], y)
+        assert chain[-1] == tail, label
+        chain.append(head)
+    assert tuple(chain) == expected, label
+    assert meet == oracle.meet(t, u, v), label
 
 
 def test_index_invariants():
@@ -253,6 +272,16 @@ def test_deepest_spine_vertex_read_first():
     assert all(index.depth[v] == eager[v] for v in t.vertices)
     with pytest.raises(KeyError):
         index.depth["no such vertex"]
+
+
+def test_path_walks_a_deep_spine():
+    t, _, _ = _spine(1000)
+    index = t._root()
+    deepest = max(t.vertices, key=index.level.__getitem__)
+    _assert_walk_matches(t, deepest, t.base, "deepest to base")
+    _assert_walk_matches(t, t.base, deepest, "base to deepest")
+    steps, meet = t.path(deepest, t.base)
+    assert meet == t.base and len(steps) == 999 and {sign for _, sign in steps} == {-1}
 
 
 def test_no_route_scans_or_probes_the_depth_map(monkeypatch):

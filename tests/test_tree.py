@@ -181,6 +181,7 @@ _WALK_FROM_BASE = [
 )
 def test_canonicalize_refuses_structural_violations(change, fragment):
     t = MetricTree(**{**_PATH, **change})
+    _assert_adjacency_sorted(t)
     report = validate_tree(t)
     assert not report.valid and any(fragment in v for v in report.violations)
     with pytest.raises(StructureError, match=fragment) as raised:
@@ -193,10 +194,16 @@ def test_walk_from_the_base_reports_every_violation(change, violations):
     assert validate_tree(MetricTree(**{**_PATH, **change})).violations == violations
 
 
+def _assert_adjacency_sorted(t):
+    """Appending the sorted edges in order leaves every adjacency list sorted."""
+    assert all(t.adjacency[v] == sorted(t.adjacency[v]) for v in t.vertices)
+
+
 def test_canonicalize_idempotent_random():
     rng = random.Random(7)
     for _ in range(25):
         t = random_tree(rng)
+        _assert_adjacency_sorted(t)
         once = canonicalize(t)
         twice = canonicalize(once)
         assert once.vertices == twice.vertices

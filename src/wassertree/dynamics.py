@@ -11,57 +11,38 @@ puts each atom at time 0 on the point of its geodesic nearest the base
 vertex, the meet; a rational ``time_offset`` shifts an individual atom
 along its own line.
 
-The module provides the mass bookkeeping that mirrors the edge/vertex
-flows (and the comparison between the two), antagonism detection, the
-piecewise-isometric time function attached to a flow field, snapshots
-of a plan at any rational time, and a verifier that certifies unit
-speed in the quadratic Wasserstein metric by two closed-form bounds,
-with no transport problem solved and nothing read beyond the atoms'
-paths.  The comparison and the verifier take the flow field of the
-plan's marginals from the caller and refuse one built from other
-measures.
+The module provides the lift of a coupling, antagonism detection,
+snapshots of a plan at any rational time, and a verifier that
+certifies unit speed in the quadratic Wasserstein metric by two
+closed-form bounds, with no transport problem solved and nothing read
+beyond the atoms' paths.  The verifier takes the flow field of the
+plan's marginals from the caller and refuses one built from other
+measures.  The flow bounds, the time function and the level snapshots
+that the tests check these against live in :mod:`wassertree.theory`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .flows import (
-    NEGATIVE,
-    NEUTRAL,
-    POSITIVE,
-    BoundaryMeasure,
-    FlowField,
-    flow_class,
-)
+from .flows import BoundaryMeasure, FlowField
 from .transport import Coupling, _crossings
-from .tree import MetricTree, TreePoint, _edge_key, dist
+from .tree import MetricTree, TreePoint, _edge_key
 
 __all__ = [
     "PlanAtom",
     "DynamicalPlan",
-    "TimeFunction",
     "Snapshot",
-    "LevelSnapshot",
-    "FlowBoundsReport",
     "GeodesicReport",
     "lift",
     "plan_marginals",
     "antagonist_pairs",
-    "plan_edge_and_vertex_masses",
-    "check_flow_bounds",
-    "build_time_function",
     "snapshot",
-    "second_moment",
-    "flow_level_snapshot",
     "verify_geodesic",
-    "align_offsets_to_time_function",
-    "reverse_plan",
-    "with_offsets",
 ]
 
 _ZERO = Fraction(0)
@@ -153,14 +134,6 @@ def lift(pi: Coupling, t: MetricTree) -> DynamicalPlan:
     return DynamicalPlan(atoms=tuple(atoms))
 
 
-def with_offsets(plan: DynamicalPlan, offsets: Sequence[Fraction]) -> DynamicalPlan:
-    if len(offsets) != len(plan.atoms):
-        raise DomainError("one offset per atom required")
-    return DynamicalPlan(
-        atoms=tuple(replace(a, time_offset=Fraction(off)) for a, off in zip(plan.atoms, offsets))
-    )
-
-
 def plan_marginals(plan: DynamicalPlan) -> tuple[BoundaryMeasure, BoundaryMeasure]:
     left: dict[str, Fraction] = {}
     right: dict[str, Fraction] = {}
@@ -168,15 +141,6 @@ def plan_marginals(plan: DynamicalPlan) -> tuple[BoundaryMeasure, BoundaryMeasur
         left[a.source] = left.get(a.source, Fraction(0)) + a.mass
         right[a.target] = right.get(a.target, Fraction(0)) + a.mass
     return BoundaryMeasure(left), BoundaryMeasure(right)
-
-
-def plan_coupling(plan: DynamicalPlan) -> Coupling:
-    """Project a plan back to its end coupling."""
-    atoms: dict[tuple[str, str], Fraction] = {}
-    for a in plan.atoms:
-        key = (a.source, a.target)
-        atoms[key] = atoms.get(key, Fraction(0)) + a.mass
-    return Coupling(atoms)
 
 
 def antagonist_pairs(plan: DynamicalPlan, t: MetricTree):
@@ -227,164 +191,9 @@ def _antagonists(t: MetricTree, atoms: Sequence[PlanAtom], paths):
     return results
 
 
-def plan_edge_and_vertex_masses(plan: DynamicalPlan, t: MetricTree):
-    """Oriented edge masses, vertex masses, and nearest-point masses.
-
-    Returns ``(edge_mass, vertex_mass, base_mass)``: the mass of atoms
-    traversing each oriented finite edge, passing through each vertex,
-    and passing through each vertex as the point of their geodesic
-    nearest the base.
-    """
-    edge_mass: dict[tuple[str, str], Fraction] = {}
-    vertex_mass: dict[str, Fraction] = {}
-    base_mass: dict[str, Fraction] = {}
-    for a in plan.atoms:
-        chain, _, k = a.geodesic(t)
-        for e in zip(chain, chain[1:]):
-            edge_mass[e] = edge_mass.get(e, Fraction(0)) + a.mass
-        for v in chain:
-            vertex_mass[v] = vertex_mass.get(v, Fraction(0)) + a.mass
-        base_mass[chain[k]] = base_mass.get(chain[k], Fraction(0)) + a.mass
-    return edge_mass, vertex_mass, base_mass
-
-
-@dataclass(frozen=True)
-class FlowBoundsReport:
-    """Mass-versus-flow comparison over all edges and vertices.
-
-    ``strict_edges`` and ``strict_vertices`` list the sites where the
-    plan carries strictly more than the flow requires; the remaining
-    flags relate the equality case to antagonism and to the specific
-    flow, which is what the theory predicts.
-    """
-
-    strict_edges: tuple
-    strict_vertices: tuple
-    bounds_hold: bool
-    all_equal: bool
-    antagonism_free: bool
-    equivalence_holds: bool
-    specific_flow_matches: Optional[bool]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.bounds_hold
-            and self.equivalence_holds
-            and (self.specific_flow_matches is not False)
-        )
-
-
 def _require_marginals(plan: DynamicalPlan, ff: FlowField) -> None:
     if plan_marginals(plan) != (ff.minus, ff.plus):
         raise DomainError("plan marginals do not match the flow field's measures")
-
-
-def check_flow_bounds(plan: DynamicalPlan, ff: FlowField) -> FlowBoundsReport:
-    """Verify mass >= flow bounds and the equality/antagonism dichotomy."""
-    t = ff.tree
-    _require_marginals(plan, ff)
-
-    edge_mass, vertex_mass, base_mass = plan_edge_and_vertex_masses(plan, t)
-    edges = []  # (site, plan mass, flow)
-    for u, v, _length in t.edges:
-        for tail, head in ((u, v), (v, u)):
-            edges.append(((tail, head), edge_mass.get((tail, head), Fraction(0)), ff.flow(tail, head)))
-    # End edges: inward traversals carry the source mass, outward the
-    # target mass; recorded for completeness.  The plan's marginals are
-    # ff's measures (checked above), so those masses are read from them.
-    for end_id in sorted(t.ends):
-        attach = t.attach(end_id)
-        outward = ff.flow(attach, end_id)
-        edges.append(((attach, end_id), ff.plus.mass(end_id), outward))
-        edges.append(((end_id, attach), ff.minus.mass(end_id), -outward))
-    vertices = [(x, vertex_mass.get(x, Fraction(0)), ff.out.get(x, Fraction(0))) for x in t.vertices]
-
-    def departures(sites):
-        """``(site, got, bound, kind)`` wherever the plan's mass is not the bound."""
-        out = []
-        for site, got, flow in sites:
-            bound = max(flow, Fraction(0))
-            if got != bound:
-                out.append((site, got, bound, "violated" if got < bound else "strict"))
-        return out
-
-    strict_edges, strict_vertices = departures(edges), departures(vertices)
-    bounds_hold = all(kind == "strict" for *_, kind in strict_edges + strict_vertices)
-    all_equal = not strict_edges and not strict_vertices
-    antagonism_free = not antagonist_pairs(plan, t)
-    specific_matches: Optional[bool] = None
-    if all_equal:
-        specific_matches = all(
-            base_mass.get(x, Fraction(0)) == ff.specific.get(x, Fraction(0))
-            for x in t.vertices
-        )
-    return FlowBoundsReport(
-        strict_edges=tuple(strict_edges),
-        strict_vertices=tuple(strict_vertices),
-        bounds_hold=bounds_hold,
-        all_equal=all_equal,
-        antagonism_free=antagonism_free,
-        equivalence_holds=all_equal == antagonism_free,
-        specific_flow_matches=specific_matches,
-    )
-
-
-@dataclass(frozen=True)
-class TimeFunction:
-    """Continuous time coordinate: unit slope along positive edges,
-    constant on neutral ones, normalized to 0 at the base vertex."""
-
-    vertex_time: Mapping[str, Fraction]
-    edge_class: Mapping[tuple[str, str], str]
-    ray_class: Mapping[str, str]
-
-    def at_vertex(self, v: str) -> Fraction:
-        return self.vertex_time[v]
-
-    def at_point(self, t: MetricTree, p: TreePoint) -> Fraction:
-        if p.kind == "vertex":
-            return self.vertex_time[p.vertex]
-        if p.kind == "edge":
-            u, v = p.edge
-            cls = self.edge_class[(u, v)]
-            if cls == POSITIVE:
-                return self.vertex_time[u] + p.offset
-            if cls == NEGATIVE:
-                return self.vertex_time[u] - p.offset
-            return self.vertex_time[u]
-        cls = self.ray_class[p.end]
-        base = self.vertex_time[t.attach(p.end)]
-        if cls == POSITIVE:
-            return base + p.offset
-        if cls == NEGATIVE:
-            return base - p.offset
-        return base
-
-
-def build_time_function(t: MetricTree, ff: FlowField) -> TimeFunction:
-    """Propagate times from the base across the (acyclic) tree."""
-    t.require_valid()
-    vertex_time: dict[str, Fraction] = {t.base: Fraction(0)}
-    stack = [t.base]
-    while stack:
-        v = stack.pop()
-        for w, length in t.adjacency[v]:
-            if w in vertex_time:
-                continue
-            cls = flow_class(ff.flow(v, w))
-            if cls == POSITIVE:
-                vertex_time[w] = vertex_time[v] + length
-            elif cls == NEGATIVE:
-                vertex_time[w] = vertex_time[v] - length
-            else:
-                vertex_time[w] = vertex_time[v]
-            stack.append(w)
-    return TimeFunction(
-        vertex_time=vertex_time,
-        edge_class={edge: flow_class(phi) for edge, phi in ff.edge_flows()},
-        ray_class={end_id: flow_class(ff.flow_to_end(end_id)) for end_id in t.ends},
-    )
 
 
 @dataclass(frozen=True)
@@ -407,108 +216,6 @@ def snapshot(plan: DynamicalPlan, time, t: MetricTree) -> Snapshot:
         p = a.position(time, t)
         atoms[p] = atoms.get(p, Fraction(0)) + a.mass
     return Snapshot(time=time, atoms=atoms)
-
-
-def second_moment(s: Snapshot, t: MetricTree) -> Fraction:
-    """Mass-weighted squared distance to the base vertex."""
-    origin = TreePoint.at_vertex(t.base)
-    total = Fraction(0)
-    for p, mass in s.atoms.items():
-        d = dist(t, origin, p)
-        total += mass * d * d
-    return total
-
-
-@dataclass(frozen=True)
-class LevelSnapshot:
-    """Snapshot built directly from the flow field at a time level.
-
-    Mass sits on the level set of the time function restricted to the
-    non-neutral part of the tree: the flow value at each crossing point
-    of a positive edge and the vertex flow at each level vertex.
-    ``tie_components`` flags neutral components whose boundary has two
-    or more flow-carrying vertices on this level (informational; the
-    masses are already per boundary vertex and per direction).
-    """
-
-    snapshot: Snapshot
-    tie_components: tuple[tuple[str, ...], ...]
-
-
-def flow_level_snapshot(
-    t: MetricTree, ff: FlowField, tf: TimeFunction, time
-) -> LevelSnapshot:
-    time = Fraction(time)
-    atoms: dict[TreePoint, Fraction] = {}
-
-    def put(point, mass):
-        atoms[point] = atoms.get(point, Fraction(0)) + mass
-
-    out = ff.out
-    for x in t.vertices:
-        if x in out and tf.vertex_time[x] == time:
-            put(TreePoint.at_vertex(x), out[x])
-    for (u, v), phi in ff.edge_flows():
-        if not phi:
-            continue
-        tail, head = (u, v) if phi > 0 else (v, u)
-        lo, hi = tf.vertex_time[tail], tf.vertex_time[head]
-        if lo < time < hi:
-            put(TreePoint.on_edge(tail, head, time - lo, t.edge_length[(u, v)]), abs(phi))
-    for end_id in sorted(t.ends):
-        f = ff.flow_to_end(end_id)
-        if f == 0:
-            continue
-        attach = t.attach(end_id)
-        at = tf.vertex_time[attach]
-        if f > 0 and time > at:
-            put(TreePoint.on_ray(end_id, attach, time - at), f)
-        elif f < 0 and time < at:
-            put(TreePoint.on_ray(end_id, attach, at - time), -f)
-
-    # Neutral components with several flow-carrying boundary vertices on
-    # this level admit bookkeeping ties; flag them for review.
-    tie_components = []
-    seen: set[str] = set()
-    for start in t.vertices:
-        if start in seen:
-            continue
-        component = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _l in t.adjacency[v]:
-                if w not in component and flow_class(ff.flow(v, w)) == NEUTRAL:
-                    component.add(w)
-                    stack.append(w)
-        seen.update(component)
-        if len(component) < 2:
-            continue
-        boundary = sorted(x for x in component if x in out and tf.vertex_time[x] == time)
-        if len(boundary) >= 2:
-            tie_components.append(tuple(boundary))
-    return LevelSnapshot(
-        snapshot=Snapshot(time=time, atoms=atoms),
-        tie_components=tuple(tie_components),
-    )
-
-
-def align_offsets_to_time_function(
-    plan: DynamicalPlan, tf: TimeFunction, t: MetricTree
-) -> DynamicalPlan:
-    """Shift each atom so its position at time t sits on time level t."""
-    offsets = []
-    for a in plan.atoms:
-        chain, _, k = a.geodesic(t)
-        offsets.append(-tf.vertex_time[chain[k]])
-    return with_offsets(plan, offsets)
-
-
-def reverse_plan(plan: DynamicalPlan) -> DynamicalPlan:
-    """Swap sources and targets; position at time t becomes position at -t."""
-    return DynamicalPlan(
-        atoms=tuple(PlanAtom(a.target, a.source, a.mass, -a.time_offset) for a in plan.atoms)
-    )
 
 
 @dataclass(frozen=True)

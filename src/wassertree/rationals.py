@@ -38,7 +38,8 @@ def parse_fraction(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
-    raise ParseError(f"not a rational: {value!r} (floats are not accepted)")
+    hint = " (floats are not accepted)" if isinstance(value, float) else ""
+    raise ParseError(f"not a rational: {value!r}{hint}")
 
 
 def _oversize() -> OversizeError:

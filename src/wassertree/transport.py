@@ -18,9 +18,8 @@ Cyclical monotonicity reduces to antagonism: a coupling is monotone
 exactly when no two of its pairs traverse an edge in opposite
 directions, and any two that do form a strictly violating 2-cycle
 (:func:`is_cyclically_monotone`, one scan over the pairs' paths, exact
-for every support size).  The uncrossing rewrite (:func:`uncross`)
-removes such opposite traversals edge by edge without ever increasing
-the objective.
+for every support size).  The uncrossing rewrite that removes such
+opposite traversals lives in :mod:`wassertree.theory`.
 
 Both routes walk a pair's path once, with
 :meth:`~wassertree.tree.MetricTree.path`.  No route here builds a cost
@@ -46,7 +45,6 @@ __all__ = [
     "solve_optimal_coupling",
     "optimal_value",
     "is_cyclically_monotone",
-    "uncross",
 ]
 
 _ZERO = Fraction(0)
@@ -296,57 +294,3 @@ def _crossings(paths):
                 for j in opposite[bisect_right(opposite, i) :]:
                     shared.setdefault(j, []).append(child)
         yield i, shared
-
-
-def uncross(pi: Coupling, t: MetricTree) -> Coupling:
-    """Remove opposite traversals of every finite edge by target swaps.
-
-    Edges are processed once each, ordered by increasing distance of
-    their midpoint from the base and then lexicographically.  At each
-    edge, pairs crossing it in opposite orientations exchange targets
-    until one orientation carries nothing.  A swap never creates a new
-    oriented traversal anywhere (the new geodesics ride prefixes and
-    suffixes of the old ones), so previously cleaned edges stay clean,
-    the objective never increases, and one pass suffices.
-    """
-    t.require_valid()
-    minus, plus = pi.marginals()
-    if minus.support & plus.support:
-        raise DomainError("coupling marginals are not antipodal")
-
-    index = t._root()
-    parent = index.parent
-
-    def order_key(edge):
-        u, v, length = edge
-        midpoint = min(t.depth(u), t.depth(v)) + length / 2
-        return (midpoint, u, v)
-
-    atoms = dict(pi.atoms)
-    for u, v, _length in sorted(t.edges, key=order_key):
-        child = v if parent[v] == u else u
-        forward = []  # crossing toward the child side
-        backward = []
-        for pair in sorted(atoms):
-            a, b = pair
-            a_in = index.below(t.attach(a), child)
-            b_in = index.below(t.attach(b), child)
-            if a_in == b_in:
-                continue
-            (forward if b_in else backward).append(pair)
-        fi = bi = 0
-        while fi < len(forward) and bi < len(backward):
-            fa, fb = forward[fi]
-            ba, bb = backward[bi]
-            q = min(atoms[(fa, fb)], atoms[(ba, bb)])
-            for pair in ((fa, fb), (ba, bb)):
-                atoms[pair] -= q
-                if atoms[pair] == 0:
-                    del atoms[pair]
-            for pair in ((fa, bb), (ba, fb)):
-                atoms[pair] = atoms.get(pair, Fraction(0)) + q
-            if (fa, fb) not in atoms:
-                fi += 1
-            if (ba, bb) not in atoms:
-                bi += 1
-    return Coupling(atoms)

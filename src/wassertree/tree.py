@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError, StructureError
 from .rationals import INFINITY, parse_fraction
@@ -32,14 +32,10 @@ from .rationals import INFINITY, parse_fraction
 __all__ = [
     "MetricTree",
     "TreePoint",
-    "GeodesicPath",
     "ValidationReport",
     "validate_tree",
     "canonicalize",
-    "path_between_ends",
     "gromov_product",
-    "dist",
-    "future_ends",
 ]
 
 
@@ -134,16 +130,6 @@ class MetricTree:
         """Exact distance from the base vertex."""
         return self._root().depth[v]
 
-    def subtree_ends(self, v: str) -> frozenset[str]:
-        """Ends lying in the subtree rooted at ``v`` (base as root).
-
-        Read on demand from the preorder interval of ``v``, in time
-        linear in the subtree; no per-vertex end sets are kept.
-        """
-        index = self._root()
-        below = index.order[index.pos[v] : index.stop[v]]
-        return frozenset(e for w in below for e in self.vertex_ends[w])
-
     def path(self, u: str, v: str) -> tuple[list[tuple[str, int]], str]:
         """The unique path from ``u`` to ``v`` as ``(steps, meet)``, base as root.
 
@@ -194,10 +180,6 @@ class MetricTree:
             lo, hi = pos[a], stop[a]
             a = parent[a]
         return dict(zip(index.order, labels))
-
-    def vertex_distance(self, u: str, v: str) -> Fraction:
-        depth = self._root().depth
-        return depth[u] + depth[v] - 2 * depth[self.meet(u, v)]
 
 
 class RootedIndex(NamedTuple):
@@ -483,31 +465,6 @@ class TreePoint:
         )
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
-    """The locus of the complete geodesic between two distinct ends.
-
-    ``vertices`` runs from the source's attach vertex to the target's
-    (head-to-tail oriented ``edges`` in between); the two infinite
-    leaf-edges are implicit at both ends.
-    """
-
-    source: str
-    target: str
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-
-def path_between_ends(t: MetricTree, a: str, b: str) -> GeodesicPath:
-    """The unique tree path between two distinct ends."""
-    if a == b:
-        raise DomainError(f"no geodesic from end {a!r} to itself")
-    va, vb = t.attach(a), t.attach(b)
-    chain = t.vertex_path(va, vb)
-    edges = tuple(zip(chain, chain[1:]))
-    return GeodesicPath(source=a, target=b, vertices=chain, edges=edges)
-
-
 def gromov_product(t: MetricTree, a: str, b: str):
     """Distance from the base to the geodesic joining ends ``a`` and ``b``.
 
@@ -520,76 +477,3 @@ def gromov_product(t: MetricTree, a: str, b: str):
         return INFINITY
     va, vb = t.attach(a), t.attach(b)
     return t.depth(t.meet(va, vb))
-
-
-def future_ends(t: MetricTree, tail: str, head: str) -> frozenset[str]:
-    """Ends on the head side after removing the open edge (tail, head).
-
-    Finite edges are given by their two vertices; an end-edge is
-    addressed with the end id as ``head`` (outward) or ``tail``
-    (inward).  Computed on demand from the rooted index: the subtree
-    below the edge, or its complement.
-    """
-    t.require_valid()
-    ends = t.ends
-    if ends.get(head) == tail:
-        return frozenset({head})
-    if ends.get(tail) == head:
-        return frozenset(ends) - {tail}
-    if _edge_key(tail, head) not in t.edge_length:
-        raise DomainError(f"no edge between {tail!r} and {head!r}")
-    if t.parent(head) == tail:
-        return t.subtree_ends(head)
-    return frozenset(t.ends) - t.subtree_ends(tail)
-
-
-# -- exact metric -----------------------------------------------------------
-
-
-def _portals(t: MetricTree, p: TreePoint) -> list[tuple[str, Fraction]]:
-    """Vertices through which any path must leave the point's edge."""
-    if p.kind == "vertex":
-        return [(p.vertex, Fraction(0))]
-    if p.kind == "edge":
-        u, v = p.edge
-        length = t.edge_length[(u, v)]
-        return [(u, p.offset), (v, length - p.offset)]
-    return [(t.attach(p.end), p.offset)]
-
-
-def _check_point(t: MetricTree, p: TreePoint) -> None:
-    if p.kind == "vertex":
-        if p.vertex not in t._vertex_set:
-            raise DomainError(f"unknown vertex {p.vertex!r}")
-    elif p.kind == "edge":
-        if p.edge not in t.edge_length:
-            raise DomainError(f"unknown edge {p.edge!r}")
-        if not 0 < p.offset < t.edge_length[p.edge]:
-            raise DomainError(f"offset {p.offset} outside edge {p.edge!r}")
-    elif p.kind == "ray":
-        if p.end not in t.ends:
-            raise DomainError(f"unknown end {p.end!r}")
-        if p.offset <= 0:
-            raise DomainError(f"ray point must have positive offset, got {p.offset}")
-    else:
-        raise DomainError(f"bad point kind {p.kind!r}")
-
-
-def dist(t: MetricTree, p: TreePoint, q: TreePoint) -> Fraction:
-    """Exact tree distance between two (finite) points."""
-    t.require_valid()
-    _check_point(t, p)
-    _check_point(t, q)
-    if p == q:
-        return Fraction(0)
-    if p.kind == "edge" and q.kind == "edge" and p.edge == q.edge:
-        return abs(p.offset - q.offset)
-    if p.kind == "ray" and q.kind == "ray" and p.end == q.end:
-        return abs(p.offset - q.offset)
-    best = None
-    for u, du in _portals(t, p):
-        for v, dv in _portals(t, q):
-            cand = du + t.vertex_distance(u, v) + dv
-            if best is None or cand < best:
-                best = cand
-    return best

@@ -9,7 +9,7 @@ equality.
 
 from __future__ import annotations
 
-from wassertree.tree import path_between_ends
+from .rooted import vertex_path
 
 
 def antagonist_pairs(plan, t):
@@ -21,7 +21,8 @@ def antagonist_pairs(plan, t):
     when it is atom j's target, else for atom i's target when it is
     atom j's source.
     """
-    oriented = [frozenset(path_between_ends(t, a.source, a.target).edges) for a in plan.atoms]
+    chains = [vertex_path(t, t.attach(a.source), t.attach(a.target)) for a in plan.atoms]
+    oriented = [frozenset(zip(chain, chain[1:])) for chain in chains]
     results = []
     for i in range(len(plan.atoms)):
         for j in range(i + 1, len(plan.atoms)):

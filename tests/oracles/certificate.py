@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from wassertree.dynamics import GeodesicReport, _require_marginals, build_time_function
+from wassertree.dynamics import GeodesicReport, _require_marginals
 from wassertree.errors import DomainError
-from wassertree.tree import path_between_ends
+from wassertree.theory import build_time_function
 
 from .antagonism import antagonist_pairs
+from .rooted import vertex_path
 
 
 def verify_geodesic(plan, ff, sample_times) -> GeodesicReport:
@@ -30,7 +31,8 @@ def verify_geodesic(plan, ff, sample_times) -> GeodesicReport:
 
     tau_failures = []
     for idx, a in enumerate(plan.atoms):
-        for (tail, head) in path_between_ends(t, a.source, a.target).edges:
+        chain = vertex_path(t, t.attach(a.source), t.attach(a.target))
+        for (tail, head) in zip(chain, chain[1:]):
             if ff.flow(tail, head) <= 0:
                 tau_failures.append((idx, ("edge", (tail, head))))
         if ff.flow_to_end(a.source) >= 0:

@@ -23,7 +23,8 @@ from typing import Mapping
 from wassertree import BoundaryMeasure, Coupling, MetricTree, Snapshot, TreePoint
 from wassertree.errors import DomainError, OversizeError
 from wassertree.flows import check_antipodal
-from wassertree.tree import dist, gromov_product
+from wassertree.theory import dist
+from wassertree.tree import gromov_product
 
 from .lp import min_cost_transport_value, solve_transportation
 

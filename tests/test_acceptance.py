@@ -20,20 +20,18 @@ from wassertree import (
     BoundaryMeasure,
     Coupling,
     antagonist_pairs,
-    check_flow_bounds,
     compute_flow_field,
     family_analyze,
     FamilySpec,
     is_cyclically_monotone,
     lift,
     decide,
-    second_moment,
     snapshot,
     solve_optimal_coupling,
     specific_flow_second_moment,
-    uncross,
     verify_geodesic,
 )
+from wassertree.theory import check_flow_bounds, second_moment, uncross
 
 from gen import random_coupling, random_measures, random_tree
 from oracles import antagonism, cycles

@@ -23,8 +23,8 @@ from wassertree import (
     is_cyclically_monotone,
     lift,
     solve_optimal_coupling,
-    uncross,
 )
+from wassertree.theory import uncross
 
 from gen import random_coupling, random_measures, random_tree
 from oracles import antagonism, cycles

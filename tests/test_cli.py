@@ -162,6 +162,17 @@ def test_float_length_exit_3(tmp_path):
     assert "floats are not accepted" in result.stderr
 
 
+@pytest.mark.parametrize("length, shown", [(None, "None"), ([1], "[1]")], ids=["null", "list"])
+def test_non_number_length_exit_3_without_float_hint(tmp_path, length, shown):
+    payload = dict(CATERPILLAR)
+    payload["edges"] = [{"u": "v0", "v": "v1", "len": length}]
+    path = write(tmp_path, "bad_length.json", payload)
+    result = run_cli("validate", "--input", path)
+    assert result.returncode == 3
+    assert f"not a rational: {shown}" in result.stderr
+    assert "float" not in result.stderr
+
+
 def test_solve_output(tmp_path):
     path = write(tmp_path, "cat.json", CATERPILLAR)
     result = run_cli("solve", "--input", path)

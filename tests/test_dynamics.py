@@ -10,23 +10,25 @@ from wassertree import (
     MetricTree,
     PlanAtom,
     TreePoint,
-    align_offsets_to_time_function,
     antagonist_pairs,
-    build_time_function,
-    check_flow_bounds,
     compute_flow_field,
-    dist,
-    flow_level_snapshot,
     lift,
-    plan_coupling,
-    plan_edge_and_vertex_masses,
     plan_marginals,
-    reverse_plan,
-    second_moment,
     snapshot,
     solve_optimal_coupling,
     specific_flow_second_moment,
     verify_geodesic,
+)
+from wassertree.theory import (
+    align_offsets_to_time_function,
+    build_time_function,
+    check_flow_bounds,
+    dist,
+    flow_level_snapshot,
+    plan_coupling,
+    plan_edge_and_vertex_masses,
+    reverse_plan,
+    second_moment,
     with_offsets,
 )
 

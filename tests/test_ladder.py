@@ -51,10 +51,15 @@ def test_smallest_rung_writes_a_row(tmp_path):
         assert isinstance(rung["max_den_bits"], int) and rung["max_den_bits"] > 0
         assert rung["passed"] is True
         cli = row["cli"]
-        assert set(cli) == {"input", "dont_write_bytecode", "d0_s", "d0_sha256", "flows_s", "flows_sha256"}
+        assert set(cli) == {
+            "input", "dont_write_bytecode", "d0_s", "d0_cached_s", "d0_sha256",
+            "flows_s", "flows_cached_s", "flows_sha256",
+        }
         assert isinstance(cli["dont_write_bytecode"], bool)
         assert cli["input"] == "tests/golden/inputs/deep_spine_200.json"
-        assert all(isinstance(cli[k], float) and cli[k] > 0 for k in ("d0_s", "flows_s"))
+        assert all(
+            isinstance(cli[k], float) and cli[k] > 0 for k in ("d0_s", "d0_cached_s", "flows_s", "flows_cached_s")
+        )
         assert (cli["d0_sha256"], cli["flows_sha256"]) == digests
 
 

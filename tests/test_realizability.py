@@ -12,12 +12,11 @@ from wassertree import (
     family_analyze,
     decide,
     realize,
-    reverse_plan,
-    second_moment,
     snapshot,
     spine_truncation,
     validate_tree,
 )
+from wassertree.theory import reverse_plan, second_moment
 
 from wassertree.realizability import MAX_LEVEL
 

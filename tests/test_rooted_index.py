@@ -25,14 +25,14 @@ from wassertree import (
     compute_flow_field,
     decide,
     family_analyze,
-    future_ends,
     lift,
-    path_between_ends,
     serialize,
     solve_optimal_coupling,
     specific_flow_second_moment,
     spine_truncation,
 )
+from wassertree import theory
+from wassertree.theory import future_ends
 from wassertree import tree as tree_module
 from wassertree.flows import flow_class, subtree_masses
 
@@ -79,7 +79,7 @@ def _assert_flows_match(t, minus, plus, label):
 def _assert_tree_routes_match(t, label):
     sets = oracle.end_sets(t)
     for v in t.vertices:
-        assert t.subtree_ends(v) == sets[v], f"{label}: subtree_ends({v})"
+        assert theory._subtree_ends(t, v) == sets[v], f"{label}: subtree_ends({v})"
     for u, v, _ in t.edges:
         for tail, head in ((u, v), (v, u)):
             child = head if t.parent(head) == tail else tail
@@ -174,7 +174,7 @@ def test_atom_geodesic_matches_rooted_oracle():
             for a in lift(pi, t).atoms:
                 where = f"instance {idx}: {a.source}->{a.target}"
                 vertices, coords, k = a.geodesic(t)
-                assert vertices == path_between_ends(t, a.source, a.target).vertices, where
+                assert vertices == oracle.vertex_path(t, t.attach(a.source), t.attach(a.target)), where
                 meet = oracle.meet(t, t.attach(a.source), t.attach(a.target))
                 assert vertices[k] == meet, where
                 assert list(coords) == [
@@ -387,10 +387,10 @@ def test_depth_and_level_disagree_on_random_trees():
 
 
 def test_subtree_ends_stays_off_the_hot_path(monkeypatch):
-    def refuse(self, v):
+    def refuse(t, v):
         raise AssertionError("per-vertex end set built on a hot path")
 
-    monkeypatch.setattr(MetricTree, "subtree_ends", refuse)
+    monkeypatch.setattr(theory, "_subtree_ends", refuse)
     for t, minus, plus in _instances(seed=4712, count=40):
         report = decide(t, minus, plus)
         assert report.geodesic.passed

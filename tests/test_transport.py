@@ -15,8 +15,8 @@ from wassertree import (
     is_cyclically_monotone,
     lift,
     solve_optimal_coupling,
-    uncross,
 )
+from wassertree.theory import uncross
 
 from gen import random_coupling, random_measures, random_tree, random_vertex_coupling
 from oracles.costs import CostMatrix, brute_force_value, cost_matrix, coupling_value

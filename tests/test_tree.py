@@ -11,14 +11,13 @@ from wassertree import (
     StructureError,
     TreePoint,
     canonicalize,
-    dist,
-    future_ends,
     gromov_product,
-    path_between_ends,
     validate_tree,
 )
+from wassertree.theory import dist, future_ends, vertex_distance
 
 from gen import random_tree
+from oracles import rooted
 
 
 def test_tripod_is_valid(tripod):
@@ -211,24 +210,13 @@ def test_canonicalize_idempotent_random():
         assert once.ends == twice.ends
 
 
-def test_path_between_ends_tripod(tripod):
-    path = path_between_ends(tripod, "A", "B")
-    assert path.vertices == ("c",)
-    assert path.edges == ()
+def test_vertex_path_tripod(tripod):
+    assert tripod.vertex_path(tripod.attach("A"), tripod.attach("B")) == ("c",)
 
 
-def test_path_between_ends_caterpillar(caterpillar):
-    # Independent check: breadth-first search over the attach vertices.
-    path = path_between_ends(caterpillar, "A", "D")
-    assert path.vertices == ("v0", "v1")
-    assert path.edges == (("v0", "v1"),)
-    path2 = path_between_ends(caterpillar, "C", "D")
-    assert path2.vertices == ("v1",)
-
-
-def test_path_same_end_rejected(caterpillar):
-    with pytest.raises(DomainError):
-        path_between_ends(caterpillar, "A", "A")
+def test_vertex_path_caterpillar(caterpillar):
+    assert caterpillar.vertex_path(caterpillar.attach("A"), caterpillar.attach("D")) == ("v0", "v1")
+    assert caterpillar.vertex_path(caterpillar.attach("C"), caterpillar.attach("D")) == ("v1",)
 
 
 def test_gromov_product_caterpillar(caterpillar):
@@ -247,8 +235,8 @@ def test_gromov_product_diagonal_sentinel(caterpillar):
 
 def _brute_gromov(t, a, b):
     # Oracle: distance from the base to the nearest path vertex.
-    path = path_between_ends(t, a, b)
-    return min(t.vertex_distance(t.base, v) for v in path.vertices)
+    path = rooted.vertex_path(t, t.attach(a), t.attach(b))
+    return min(vertex_distance(t, t.base, v) for v in path)
 
 
 def test_gromov_product_matches_brute_force_random():
@@ -351,7 +339,7 @@ def test_canonicalize_preserves_distances():
     )
     out = canonicalize(t)
     # Surviving vertices keep their distance: 1/2 + 3/4 + 3/4.
-    assert out.vertex_distance("v0", "v1") == 2
+    assert vertex_distance(out, "v0", "v1") == 2
 
 
 def test_point_normalization():

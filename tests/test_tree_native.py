@@ -22,18 +22,16 @@ from wassertree import (
     FamilySpec,
     compute_flow_field,
     decide,
-    dist,
     family_analyze,
     lift,
     optimal_value,
-    reverse_plan,
     snapshot,
     solve_optimal_coupling,
     specific_flow_second_moment,
     verify_geodesic,
-    with_offsets,
 )
-from wassertree import cli, flows, realizability, transport, tree
+from wassertree.theory import dist, reverse_plan, with_offsets
+from wassertree import cli, flows, realizability, theory, transport, tree
 
 from gen import random_coupling, random_measures, random_tree
 from oracles.costs import brute_force_value, cost_matrix, snapshot_transport_value
@@ -189,7 +187,7 @@ def test_package_ships_no_general_solver(monkeypatch):
         raise AssertionError("tree distance computed on a production path")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "wassertree" and getattr(module, "dist", None) is tree.dist:
+        if name.split(".")[0] == "wassertree" and getattr(module, "dist", None) is theory.dist:
             monkeypatch.setattr(module, "dist", refuse)
     for t, minus, plus in _random_instances(seed=4711, count=50):
         report = decide(t, minus, plus)

@@ -26,11 +26,11 @@ from wassertree import (
     flows,
     lift,
     realizability,
-    reverse_plan,
     solve_optimal_coupling,
     verify_geodesic,
-    with_offsets,
 )
+from wassertree import theory
+from wassertree.theory import reverse_plan, with_offsets
 
 from gen import random_coupling, random_measures, random_tree
 from oracles import antagonism, certificate, greedy
@@ -97,9 +97,9 @@ def test_decide_reads_no_time_function(monkeypatch):
         raise AssertionError("time function read on the certificate's path")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "wassertree" and getattr(module, "build_time_function", None) is dynamics.build_time_function:
+        if name.split(".")[0] == "wassertree" and getattr(module, "build_time_function", None) is theory.build_time_function:
             monkeypatch.setattr(module, "build_time_function", refuse)
-    monkeypatch.setattr(dynamics.TimeFunction, "at_point", refuse)
+    monkeypatch.setattr(theory.TimeFunction, "at_point", refuse)
     monkeypatch.setattr(dynamics.PlanAtom, "position", refuse)
     for t, minus, plus in _random_instances(seed=4711, count=50):
         report = decide(t, minus, plus)

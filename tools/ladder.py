@@ -22,7 +22,11 @@ write to a file), ``--repeats`` times, median kept.  The SHA-256 of each
 output lets rows of two source trees be checked for identical bytes.
 The row records ``sys.flags.dont_write_bytecode``, which the children
 inherit: where it is set, every run compiles the package from source,
-so such rows are not comparable with rows where it is not.
+so such rows are not comparable with rows where it is not.  Each
+command is also timed with cached bytecode (``<command>_cached_s``):
+the children then run without ``PYTHONDONTWRITEBYTECODE`` and with
+``PYTHONPYCACHEPREFIX`` set to a temporary directory, which one
+untimed run fills first.  The cached runs must write the same bytes.
 
     python3 tools/ladder.py --label change --out BENCH_8.json
     python3 tools/ladder.py --src ../parent/src --label parent --out BENCH_8.json
@@ -161,22 +165,33 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
     }
 
 
+def _median_run(argv, env, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        clock = perf_counter()
+        subprocess.run(argv, env=env, check=True)
+        times.append(perf_counter() - clock)
+    return round(statistics.median(times), 6)
+
+
 def run_cli_rung(src: str, repeats: int) -> dict:
     """End-to-end wall time of each CLI subcommand on the 200-level spine."""
     env = {**os.environ, "PYTHONPATH": src}
     rung = {"input": CLI_INPUT, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
     with tempfile.TemporaryDirectory() as tmp:
+        cached_env = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        cached_env["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
         out = Path(tmp) / "out.json"
-        for command in CLI_COMMANDS:
+        for i, command in enumerate(CLI_COMMANDS):
             argv = [sys.executable, "-m", "wassertree.cli", command]
             argv += ["--input", str(ROOT / CLI_INPUT), "--output", str(out)]
-            times = []
-            for _ in range(repeats):
-                clock = perf_counter()
-                subprocess.run(argv, env=env, check=True)
-                times.append(perf_counter() - clock)
-            rung[f"{command}_s"] = round(statistics.median(times), 6)
-            rung[f"{command}_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            rung[f"{command}_s"] = _median_run(argv, env, repeats)
+            digest = rung[f"{command}_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            if i == 0:
+                subprocess.run(argv, env=cached_env, check=True)
+            rung[f"{command}_cached_s"] = _median_run(argv, cached_env, repeats)
+            if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+                raise RuntimeError(f"{command} wrote other bytes with cached bytecode")
     return rung
 
 

@@ -53,7 +53,6 @@ from .dynamics import (
     Snapshot,
     antagonist_pairs,
     lift,
-    plan_marginals,
     snapshot,
     verify_geodesic,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Snapshot",
     "GeodesicReport",
     "lift",
-    "plan_marginals",
     "antagonist_pairs",
     "snapshot",
     "verify_geodesic",

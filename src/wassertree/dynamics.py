@@ -17,8 +17,9 @@ certifies unit speed in the quadratic Wasserstein metric by two
 closed-form bounds, with no transport problem solved and nothing read
 beyond the atoms' paths.  The verifier takes the flow field of the
 plan's marginals from the caller and refuses one built from other
-measures.  The flow bounds, the time function and the level snapshots
-that the tests check these against live in :mod:`wassertree.theory`.
+measures, and picks default sample times from the same walks.  The
+flow bounds, the time function and the level snapshots that the tests
+check these against live in :mod:`wassertree.theory`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .flows import BoundaryMeasure, FlowField
+from .flows import FlowField
+from .rationals import parse_fraction
 from .transport import Coupling, _crossings
 from .tree import MetricTree, TreePoint, _edge_key
 
@@ -39,7 +41,6 @@ __all__ = [
     "Snapshot",
     "GeodesicReport",
     "lift",
-    "plan_marginals",
     "antagonist_pairs",
     "snapshot",
     "verify_geodesic",
@@ -134,15 +135,6 @@ def lift(pi: Coupling, t: MetricTree) -> DynamicalPlan:
     return DynamicalPlan(atoms=tuple(atoms))
 
 
-def plan_marginals(plan: DynamicalPlan) -> tuple[BoundaryMeasure, BoundaryMeasure]:
-    left: dict[str, Fraction] = {}
-    right: dict[str, Fraction] = {}
-    for a in plan.atoms:
-        left[a.source] = left.get(a.source, Fraction(0)) + a.mass
-        right[a.target] = right.get(a.target, Fraction(0)) + a.mass
-    return BoundaryMeasure(left), BoundaryMeasure(right)
-
-
 def antagonist_pairs(plan: DynamicalPlan, t: MetricTree):
     """All atom pairs traversing some edge in opposite orientations.
 
@@ -192,7 +184,13 @@ def _antagonists(t: MetricTree, atoms: Sequence[PlanAtom], paths):
 
 
 def _require_marginals(plan: DynamicalPlan, ff: FlowField) -> None:
-    if plan_marginals(plan) != (ff.minus, ff.plus):
+    left: dict[str, Fraction] = {}
+    right: dict[str, Fraction] = {}
+    for a in plan.atoms:
+        mass = parse_fraction(a.mass)  # a float would compare equal to its binary fraction
+        left[a.source] = left.get(a.source, _ZERO) + mass
+        right[a.target] = right.get(a.target, _ZERO) + mass
+    if left != ff.minus.atoms or right != ff.plus.atoms:
         raise DomainError("plan marginals do not match the flow field's measures")
 
 
@@ -210,7 +208,8 @@ class Snapshot:
 
 
 def snapshot(plan: DynamicalPlan, time, t: MetricTree) -> Snapshot:
-    time = Fraction(time)
+    """The plan at ``time``: an int, a ``Fraction`` or a ``"p/q"`` string, never a float."""
+    time = parse_fraction(time)
     atoms: dict[TreePoint, Fraction] = {}
     for a in plan.atoms:
         p = a.position(time, t)
@@ -243,23 +242,29 @@ def _sign(x: Fraction) -> int:
     return 1 if x > 0 else -1 if x < 0 else 0
 
 
-def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> GeodesicReport:
+def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times=None) -> GeodesicReport:
     """Check that a plan moves at unit Wasserstein speed on ``ff.tree``.
 
-    ``ff`` must be the flow field of the plan's own marginals (a
-    :class:`DomainError` otherwise).  Three checks: (a) no antagonist
-    pair of atoms; (b) the time function of the flow field is isometric
-    along every supported geodesic (each finite edge is traversed in its
-    positive orientation, mass enters through negative end-edges and
-    leaves through positive ones); (c) for each sampled pair r < s a
-    certificate that W2^2 between the two snapshots equals (s - r)^2.
-    Each atom's path is walked once
+    ``ff`` must be the flow field of the plan's own marginals, end for
+    end (a :class:`DomainError` otherwise).  Three checks: (a) no
+    antagonist pair of atoms; (b) the time function of the flow field
+    is isometric along every supported geodesic (each finite edge is
+    traversed in its positive orientation, mass enters through negative
+    end-edges and leaves through positive ones); (c) for each sampled
+    pair r < s a certificate that W2^2 between the two snapshots equals
+    (s - r)^2.  Each atom's path is walked once
     (:meth:`~wassertree.tree.MetricTree.path`), and its ``(child,
     sign)`` steps and meet serve all three: (a) indexes the steps, (b)
     reads each step's flow from ``ff.below`` and names an edge only for
     the atoms that fail, and its arc-length coords
     (:meth:`PlanAtom.geodesic`) are computed only for those atoms too,
     the only ones (c) needs them for.
+
+    ``sample_times`` (two or more distinct ints, Fractions or ``"p/q"``
+    strings; a float is a ParseError) default to -1, 0, 1 and
+    ``-(spread + 1)``, ``spread + 1``, the spread being the largest
+    ``depth[attach] - depth[meet]`` of any atom, read from the same
+    walks, so that every atom is out on its rays at the outer two.
 
     The certificate of (c) has two sides.  Every atom moves at unit
     speed along one complete geodesic, so the plan's own coupling of
@@ -287,15 +292,24 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times) -> Geodesi
     every pair is certified; an uncertified pair implies a failure of
     (b).
     """
-    times = sorted({Fraction(x) for x in sample_times})
-    if len(times) < 2:
-        raise DomainError("need at least two distinct sample times")
+    if sample_times is not None:
+        times = sorted({parse_fraction(x) for x in sample_times})
+        if len(times) < 2:
+            raise DomainError("need at least two distinct sample times")
 
     t = ff.tree
     _require_marginals(plan, ff)
     paths = [a._path(t) for a in plan.atoms]
     pairs = _antagonists(t, plan.atoms, [steps for steps, _ in paths])
     parent, below = t._root().parent, ff.below
+    if sample_times is None:
+        depth, ends = t._root().depth, t.ends
+        spread = max(
+            max(depth[ends[a.source]], depth[ends[a.target]]) - depth[meet]
+            for a, (_, meet) in zip(plan.atoms, paths)
+        )
+        far = spread + 1
+        times = sorted({-far, Fraction(-1), _ZERO, Fraction(1), far})
 
     # Along each atom, tau has slope sgn(flow) in the atom's direction on
     # every edge and ray.  A tau-isometric atom (all slopes +1) is at

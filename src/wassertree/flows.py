@@ -240,8 +240,7 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
     map over every edge, end or vertex is ever filled (see
     :class:`FlowField`).
     """
-    t.require_valid()
-    if not check_antipodal(t, minus, plus):
+    if not check_antipodal(t, minus, plus):  # validates the tree first
         raise DomainError("measures are not antipodal (supports intersect)")
 
     parent = t._root().parent

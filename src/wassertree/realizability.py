@@ -75,23 +75,6 @@ class RealizabilityReport:
     plan: Optional[DynamicalPlan]
     flow_field: Optional[FlowField]
     geodesic: Optional[GeodesicReport]
-    sample_times: tuple[Fraction, ...]
-
-
-def _default_times(plan: DynamicalPlan, t: MetricTree) -> tuple[Fraction, ...]:
-    """-1, 0, 1 and two times at which every atom is out on its rays.
-
-    An atom's path runs from ``depth[attach] - depth[meet]`` before its
-    point nearest the base to that far after it, so no chain is built.
-    """
-    depth = t._root().depth
-    spread = Fraction(0)
-    for a in plan.atoms:
-        u, v = t.attach(a.source), t.attach(a.target)
-        top = depth[t.meet(u, v)]
-        spread = max(spread, depth[u] - top, depth[v] - top)
-    far = spread + 1
-    return tuple(sorted({-far, Fraction(-1), Fraction(0), Fraction(1), far}))
 
 
 def decide(
@@ -111,6 +94,8 @@ def decide(
     and the charged vertices: the measures are checked against the
     tree once (by :func:`compute_flow_field`, or here when the supports
     meet), and no stage fills a map over every edge, end or vertex.
+    Only the greedy and the verifier walk an atom's path; the verifier
+    also picks the default ``sample_times``.
     """
     t.require_valid()
     if minus.support & plus.support:
@@ -124,14 +109,12 @@ def decide(
             plan=None,
             flow_field=None,
             geodesic=None,
-            sample_times=(),
         )
     ff = compute_flow_field(t, minus, plus)
     coupling, value = solve_optimal_coupling(ff)
     moment = specific_flow_second_moment(t, ff)
     plan = lift(coupling, t)
-    times = tuple(sorted({Fraction(x) for x in sample_times})) if sample_times else _default_times(plan, t)
-    report = verify_geodesic(plan, ff, times)
+    report = verify_geodesic(plan, ff, sample_times or None)
     return RealizabilityReport(
         antipodal=True,
         verdict=REALIZABLE,
@@ -141,7 +124,6 @@ def decide(
         plan=plan,
         flow_field=ff,
         geodesic=report,
-        sample_times=times,
     )
 
 
@@ -155,7 +137,7 @@ def realize(
     report = decide(t, minus, plus)
     if report.verdict != REALIZABLE:
         raise DomainError("measures are not antipodal; no geodesic exists")
-    snaps = [snapshot(report.plan, Fraction(x), t) for x in times]
+    snaps = [snapshot(report.plan, x, t) for x in times]
     return report.coupling, report.plan, snaps
 
 

@@ -49,7 +49,9 @@ class MetricTree:
     Construction is permissive: arbitrary graphs can be stored so that
     :func:`validate_tree` can report their defects.  Operations that
     need a valid canonical tree check first and raise
-    :class:`StructureError`.
+    :class:`StructureError`.  Each edge is normalized once (string ids,
+    ``u <= v``, an exact length) into the one sorted list that fills
+    ``edges``, ``edge_length`` and ``adjacency``.
     """
 
     def __init__(
@@ -63,28 +65,32 @@ class MetricTree:
         self.vertices: tuple[str, ...] = tuple(sorted(set(vertex_ids)))
         self._vertex_set = frozenset(self.vertices)
         self._duplicate_vertices = len(vertex_ids) != len(self.vertices)
-        raw_edges = [(str(u), str(v), parse_fraction(length)) for u, v, length in edges]
-        self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(
-            sorted((*_edge_key(u, v), length) for u, v, length in raw_edges)
-        )
-        self.edge_length: dict[tuple[str, str], Fraction] = {
-            (u, v): length for u, v, length in self.edges
-        }
+        normalized = []
+        for u, v, length in edges:
+            u, v, length = str(u), str(v), parse_fraction(length)
+            normalized.append((u, v, length) if u <= v else (v, u, length))
+        normalized.sort()
+        self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(normalized)
+        self.edge_length: dict[tuple[str, str], Fraction] = {(u, v): length for u, v, length in normalized}
+        # In sorted edge order each vertex meets its smaller neighbours
+        # before its larger ones, so every adjacency list comes sorted.
+        self.adjacency: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
+        adjacency = self.adjacency
+        for u, v, length in normalized:
+            if u in adjacency:
+                adjacency[u].append((v, length))
+            if v in adjacency and u != v:
+                adjacency[v].append((u, length))
         end_pairs = sorted((str(e), str(a)) for e, a in ends)
         self.ends: dict[str, str] = dict(end_pairs)
         self._duplicate_ends = len(end_pairs) != len(self.ends)
         self.base = str(base)
 
-        self.adjacency: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
-        for u, v, length in self.edges:
-            if u in self.adjacency:
-                self.adjacency[u].append((v, length))
-            if v in self.adjacency and u != v:
-                self.adjacency[v].append((u, length))
-        self.vertex_ends: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
+        ends_at: dict[str, list[str]] = {v: [] for v in self.vertices}
         for end_id, attach in self.ends.items():
-            if attach in self.vertex_ends:
-                self.vertex_ends[attach] = self.vertex_ends[attach] + (end_id,)
+            if attach in ends_at:
+                ends_at[attach].append(end_id)
+        self.vertex_ends: dict[str, tuple[str, ...]] = {v: tuple(ids) for v, ids in ends_at.items()}
 
         self._validation: Optional[ValidationReport] = None
         self._walk: Optional[_Walk] = None

@@ -7,13 +7,14 @@ from wassertree import (
     BoundaryMeasure,
     Coupling,
     DomainError,
+    DynamicalPlan,
     MetricTree,
+    ParseError,
     PlanAtom,
     TreePoint,
     antagonist_pairs,
     compute_flow_field,
     lift,
-    plan_marginals,
     snapshot,
     solve_optimal_coupling,
     specific_flow_second_moment,
@@ -372,7 +373,7 @@ def test_reverse_plan_mirrors_snapshots_random():
         pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         plan = with_offsets(lift(pi, t), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in pi.atoms])
         reversed_plan = reverse_plan(plan)
-        nm, np_ = plan_marginals(reversed_plan)
+        nm, np_ = plan_coupling(reversed_plan).marginals()
         assert nm == plus and np_ == minus
         for time in (Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(2)):
             assert snapshot(reversed_plan, time, t).atoms == snapshot(plan, -time, t).atoms
@@ -422,19 +423,29 @@ def test_verify_geodesic_single_atom(caterpillar):
     assert report.passed
 
 
-def test_verify_geodesic_needs_two_times(caterpillar):
+def test_verify_geodesic_needs_two_times(caterpillar, caterpillar_measures):
     plan, ff = _single_atom(caterpillar)
-    with pytest.raises(DomainError):
-        verify_geodesic(plan, ff, [1])
+    other = compute_flow_field(caterpillar, *caterpillar_measures)
+    for flow_field in (ff, other):  # the times are checked before the marginals
+        with pytest.raises(DomainError, match="two distinct sample times"):
+            verify_geodesic(plan, flow_field, [1, Fraction(2, 2)])
 
 
 def test_verify_geodesic_rejects_flow_field_of_other_measures(caterpillar, caterpillar_measures):
     # The guard check_flow_bounds has: the flows checked must be those
-    # of the plan's own marginals.
-    plan, _ = _single_atom(caterpillar)
+    # of the plan's own marginals, mass for mass and end for end.
+    plan, ff = _single_atom(caterpillar)
     other = compute_flow_field(caterpillar, *caterpillar_measures)
-    with pytest.raises(DomainError, match="marginals"):
-        verify_geodesic(plan, other, [0, 1])
+    half = DynamicalPlan((PlanAtom("A", "D", Fraction(1, 2)),))
+    zero_sum_end = DynamicalPlan((*plan.atoms, PlanAtom("A", "C", Fraction(0))))
+    for candidate, flow_field in ((plan, other), (half, ff), (zero_sum_end, ff)):
+        with pytest.raises(DomainError, match="plan marginals do not match the flow field's measures"):
+            verify_geodesic(candidate, flow_field, [0, 1])
+        with pytest.raises(DomainError, match="plan marginals do not match"):
+            verify_geodesic(candidate, flow_field)
+    # 1.0 == Fraction(1), yet a float mass must not reach the exact sums.
+    with pytest.raises(ParseError, match="floats are not accepted"):
+        verify_geodesic(DynamicalPlan((PlanAtom("A", "D", 1.0),)), ff)
 
 
 def test_verify_geodesic_random_optimal():

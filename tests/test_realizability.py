@@ -8,6 +8,7 @@ from wassertree import (
     DomainError,
     FamilySpec,
     OversizeError,
+    ParseError,
     StructureError,
     family_analyze,
     decide,
@@ -96,7 +97,7 @@ def test_swap_yields_time_reversed_geodesic():
 
 
 def test_realize_caterpillar(caterpillar, caterpillar_measures):
-    from wassertree import plan_marginals
+    from wassertree.theory import plan_coupling
 
     minus, plus = caterpillar_measures
     coupling, plan, snaps = realize(caterpillar, minus, plus, times=[0, 1])
@@ -104,7 +105,7 @@ def test_realize_caterpillar(caterpillar, caterpillar_measures):
     assert [s.time for s in snaps] == [0, 1]
     left, right = coupling.marginals()
     assert left == minus and right == plus
-    plan_left, plan_right = plan_marginals(plan)
+    plan_left, plan_right = plan_coupling(plan).marginals()
     assert plan_left == minus and plan_right == plus
     assert all(a.time_offset == 0 for a in plan.atoms)
 
@@ -114,6 +115,27 @@ def test_realize_empty_times(caterpillar, caterpillar_measures):
     _coupling, plan, snaps = realize(caterpillar, minus, plus, times=[])
     assert snaps == []
     assert plan.atoms
+
+
+def test_float_times_are_refused(caterpillar, caterpillar_measures):
+    # 0.1 is not 1/10: a float would reach the exact times as
+    # 3602879701896397/36028797018963968.
+    minus, plus = caterpillar_measures
+    plan = decide(caterpillar, minus, plus).plan
+    float_hint = r"not a rational: 0\.1 \(floats are not accepted\)"
+    with pytest.raises(ParseError, match=float_hint):
+        decide(caterpillar, minus, plus, sample_times=[0.1, Fraction(7, 10)])
+    with pytest.raises(ParseError, match=float_hint):
+        realize(caterpillar, minus, plus, times=[0.1])
+    with pytest.raises(ParseError, match=float_hint):
+        snapshot(plan, 0.1, caterpillar)
+
+    exact = [Fraction(1, 10), Fraction(7, 10), Fraction(2)]
+    report = decide(caterpillar, minus, plus, sample_times=exact)
+    assert [r for r, *_ in report.geodesic.speed_checks[:2]] == [Fraction(1, 10)] * 2
+    assert decide(caterpillar, minus, plus, sample_times=["1/10", " 7/10", 2]).geodesic == report.geodesic
+    _, _, snaps = realize(caterpillar, minus, plus, times=["1/10", 2])
+    assert snaps == [snapshot(plan, Fraction(1, 10), caterpillar), snapshot(plan, 2, caterpillar)]
 
 
 def test_realize_rejects_not_antipodal(caterpillar):

@@ -124,11 +124,13 @@ def test_decide_reads_no_dense_view(monkeypatch):
 
     No route of ``decide`` reads every edge's flow (``edge_flows``) or
     iterates over the tree's vertices, edges or ends.  Each atom's path
-    is walked once: ``verify_geodesic`` calls ``MetricTree.path`` exactly
-    once per atom, ``lift`` calls it never, and no route builds a vertex
-    chain (``vertex_path``).
+    is walked once by the verifier: ``verify_geodesic`` calls
+    ``MetricTree.path`` exactly once per atom, the greedy
+    (``solve_optimal_coupling``) walks the paths it prices, and no other
+    stage calls it: not ``lift``, and not the choice of the default
+    sample times.  No route builds a vertex chain (``vertex_path``).
     """
-    verifying = []
+    stage = []
     calls = Counter()
 
     def refuse(what):
@@ -140,18 +142,22 @@ def test_decide_reads_no_dense_view(monkeypatch):
     path = MetricTree.path
 
     def counted(*args, **kwargs):
-        calls["verify" if verifying else "elsewhere"] += 1
+        calls[stage[-1] if stage else "elsewhere"] += 1
         return path(*args, **kwargs)
 
-    def flagged(*args, **kwargs):
-        verifying.append(True)
-        try:
-            return verify_geodesic(*args, **kwargs)
-        finally:
-            verifying.pop()
+    def flagged(name, stage_function):
+        def run(*args, **kwargs):
+            stage.append(name)
+            try:
+                return stage_function(*args, **kwargs)
+            finally:
+                stage.pop()
+
+        return run
 
     monkeypatch.setattr(flows.FlowField, "edge_flows", refuse("edge_flows"))
-    monkeypatch.setattr(realizability, "verify_geodesic", flagged)
+    monkeypatch.setattr(realizability, "verify_geodesic", flagged("verify", verify_geodesic))
+    monkeypatch.setattr(realizability, "solve_optimal_coupling", flagged("solve", solve_optimal_coupling))
     monkeypatch.setattr(MetricTree, "path", counted)
     monkeypatch.setattr(MetricTree, "vertex_path", refuse("vertex_path"))
     for t, minus, plus in _random_instances(seed=4713, count=50):
@@ -163,6 +169,7 @@ def test_decide_reads_no_dense_view(monkeypatch):
         assert report.geodesic.passed
         assert report.lp_value == -report.flow_moment
         assert calls["verify"] == len(report.plan.atoms)
+        assert calls["elsewhere"] == 0
         calls.clear()
         lift(report.coupling, t)
         assert not calls

@@ -102,8 +102,6 @@ def _den_bits(values) -> int:
 
 
 def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
-    from wassertree.realizability import _default_times
-
     raw, minus_atoms, plus_atoms = instance(vertices, atoms, seed)
     minus, plus = wt.BoundaryMeasure(minus_atoms), wt.BoundaryMeasure(plus_atoms)
     samples = {name: [] for name in (*STAGES, "decide_s")}
@@ -121,7 +119,7 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
         stamps.append(perf_counter())
         plan = wt.lift(coupling, t)
         stamps.append(perf_counter())
-        report = wt.verify_geodesic(plan, ff, _default_times(plan, t))
+        report = wt.verify_geodesic(plan, ff)
         stamps.append(perf_counter())
         for name, start, end in zip(STAGES, stamps, stamps[1:]):
             samples[name].append(end - start)

@@ -54,6 +54,7 @@ from .dynamics import (
     antagonist_pairs,
     lift,
     snapshot,
+    snapshots,
     verify_geodesic,
 )
 from .realizability import (
@@ -100,6 +101,7 @@ __all__ = [
     "lift",
     "antagonist_pairs",
     "snapshot",
+    "snapshots",
     "verify_geodesic",
     "RealizabilityReport",
     "FamilySpec",

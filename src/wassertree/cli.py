@@ -14,7 +14,7 @@ import sys
 
 from . import serialize
 from .dot import tree_to_dot
-from .dynamics import snapshot
+from .dynamics import snapshots
 from .errors import DomainError, ParseError, StructureError
 from .flows import compute_flow_field, specific_flow_second_moment
 from .rationals import decimal_string, format_fraction, parse_fraction
@@ -146,10 +146,8 @@ def cmd_realize(args) -> int:
     tree, measures, _ = serialize.load_instance(args.input)
     minus, plus = _require_measures(measures)
     report = decide(tree, minus, plus)
-    snapshots = None
-    if report.verdict == "realizable" and times:
-        snapshots = [snapshot(report.plan, time, tree) for time in times]
-    out = serialize.realizability_to_json(report, tree, snapshots, decimal=args.decimal)
+    snaps = snapshots(report.plan, times, tree) if report.verdict == "realizable" and times else None
+    out = serialize.realizability_to_json(report, tree, snaps, decimal=args.decimal)
     text = serialize.dumps(out)
     if args.dot:
         # Written before the report, so an unwritable path leaves no report behind.

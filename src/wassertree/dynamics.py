@@ -43,6 +43,7 @@ __all__ = [
     "lift",
     "antagonist_pairs",
     "snapshot",
+    "snapshots",
     "verify_geodesic",
 ]
 
@@ -84,6 +85,10 @@ class PlanAtom:
 
     def position(self, time: Fraction, t: MetricTree) -> TreePoint:
         verts, coords, _ = self.geodesic(t)
+        return self._locate(verts, coords, time)
+
+    def _locate(self, verts, coords, time: Fraction) -> TreePoint:
+        """The atom's point at ``time`` on its geodesic ``verts``, ``coords``."""
         c = time + self.time_offset
         if c <= coords[0]:
             return TreePoint.on_ray(self.source, verts[0], coords[0] - c)
@@ -207,14 +212,25 @@ class Snapshot:
         return sum(self.atoms.values(), Fraction(0))
 
 
+def snapshots(plan: DynamicalPlan, times, t: MetricTree) -> list[Snapshot]:
+    """The plan at each of ``times``: ints, ``Fraction``s or ``"p/q"`` strings, never floats.
+
+    Each atom's geodesic is read once and the atom located on it at
+    every time, so the snapshots cost one path walk per atom in all.
+    """
+    times = [parse_fraction(x) for x in times]
+    merged: list[dict[TreePoint, Fraction]] = [{} for _ in times]
+    for a in plan.atoms if times else ():
+        verts, coords, _ = a.geodesic(t)
+        for atoms, time in zip(merged, times):
+            p = a._locate(verts, coords, time)
+            atoms[p] = atoms.get(p, _ZERO) + a.mass
+    return [Snapshot(time=time, atoms=atoms) for time, atoms in zip(times, merged)]
+
+
 def snapshot(plan: DynamicalPlan, time, t: MetricTree) -> Snapshot:
-    """The plan at ``time``: an int, a ``Fraction`` or a ``"p/q"`` string, never a float."""
-    time = parse_fraction(time)
-    atoms: dict[TreePoint, Fraction] = {}
-    for a in plan.atoms:
-        p = a.position(time, t)
-        atoms[p] = atoms.get(p, Fraction(0)) + a.mass
-    return Snapshot(time=time, atoms=atoms)
+    """The plan at one ``time``: :func:`snapshots` of a single time."""
+    return snapshots(plan, [time], t)[0]
 
 
 @dataclass(frozen=True)

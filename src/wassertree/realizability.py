@@ -34,12 +34,12 @@ from .dynamics import (
     GeodesicReport,
     Snapshot,
     lift,
-    snapshot,
+    snapshots,
     verify_geodesic,
 )
 from .rationals import parse_fraction
 from .transport import Coupling, optimal_value, solve_optimal_coupling
-from .tree import MetricTree, canonicalize
+from .tree import MetricTree
 
 __all__ = [
     "RealizabilityReport",
@@ -77,12 +77,7 @@ class RealizabilityReport:
     geodesic: Optional[GeodesicReport]
 
 
-def decide(
-    t: MetricTree,
-    minus: BoundaryMeasure,
-    plus: BoundaryMeasure,
-    sample_times: Optional[Sequence[Fraction]] = None,
-) -> RealizabilityReport:
+def decide(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> RealizabilityReport:
     """Decide whether the pair of measures bounds a complete geodesic.
 
     Antipodality is necessary; on a finite instance it is also
@@ -95,7 +90,7 @@ def decide(
     tree once (by :func:`compute_flow_field`, or here when the supports
     meet), and no stage fills a map over every edge, end or vertex.
     Only the greedy and the verifier walk an atom's path; the verifier
-    also picks the default ``sample_times``.
+    picks the sample times (:func:`verify_geodesic` takes others).
     """
     t.require_valid()
     if minus.support & plus.support:
@@ -114,7 +109,7 @@ def decide(
     coupling, value = solve_optimal_coupling(ff)
     moment = specific_flow_second_moment(t, ff)
     plan = lift(coupling, t)
-    report = verify_geodesic(plan, ff, sample_times or None)
+    report = verify_geodesic(plan, ff)
     return RealizabilityReport(
         antipodal=True,
         verdict=REALIZABLE,
@@ -137,8 +132,7 @@ def realize(
     report = decide(t, minus, plus)
     if report.verdict != REALIZABLE:
         raise DomainError("measures are not antipodal; no geodesic exists")
-    snaps = [snapshot(report.plan, x, t) for x in times]
-    return report.coupling, report.plan, snaps
+    return report.coupling, report.plan, snapshots(report.plan, times, t)
 
 
 # -- truncated families ------------------------------------------------------
@@ -221,14 +215,19 @@ class FamilySpec:
         return masses, lengths
 
     def truncation(self, level: int):
-        masses, lengths = self.level_data(level)
-        return spine_truncation(masses, lengths)
+        return spine_truncation(*self.level_data(level))
 
 
 def spine_truncation(
     masses: Sequence[Fraction], lengths: Sequence[Fraction]
 ) -> tuple[MetricTree, BoundaryMeasure, BoundaryMeasure]:
-    """Finite instance for the first K levels of a spine family."""
+    """Canonical finite instance for the first K levels of a spine family.
+
+    Level k hangs S_k on u{k-1} and T_k on u{k}, joined by an edge of length
+    L_k.  There u_K has degree 2, so its edge merges into T_K's infinite ray:
+    the tree has u0..u{K-1}, the edges of levels 1..K-1 and T_k on
+    u{min(k, K-1)}.  L_K never enters level K, yet it is read and must be positive.
+    """
     K = len(masses)
     if K != len(lengths):
         raise StructureError("masses and lengths must have the same level count")
@@ -237,14 +236,15 @@ def spine_truncation(
     total = sum(masses, Fraction(0))
     if total <= 0:
         raise StructureError("truncation carries no mass; cannot renormalize")
-    vertices = [f"u{k}" for k in range(K + 1)]
-    edges = [(f"u{k - 1}", f"u{k}", lengths[k - 1]) for k in range(1, K + 1)]
-    ends = []
-    for k in range(1, K + 1):
-        ends.append((f"S{k}", f"u{k - 1}"))
-        ends.append((f"T{k}", f"u{k}"))
-    raw = MetricTree(vertices=vertices, edges=edges, ends=ends, base="u0")
-    tree = canonicalize(raw)
+    lengths = [parse_fraction(x) for x in lengths]
+    for k, length in enumerate(lengths, 1):
+        if length <= 0:
+            raise StructureError(f"level {k} has non-positive length {length}")
+    vertices = [f"u{k}" for k in range(K)]
+    edges = [(vertices[k - 1], vertices[k], lengths[k - 1]) for k in range(1, K)]
+    ends = [(f"S{k}", vertices[k - 1]) for k in range(1, K + 1)]
+    ends += [(f"T{k}", vertices[min(k, K - 1)]) for k in range(1, K + 1)]
+    tree = MetricTree(vertices=vertices, edges=edges, ends=ends, base="u0")
     minus = BoundaryMeasure({f"S{k}": masses[k - 1] / total for k in range(1, K + 1) if masses[k - 1] > 0})
     plus = BoundaryMeasure({f"T{k}": masses[k - 1] / total for k in range(1, K + 1) if masses[k - 1] > 0})
     return tree, minus, plus

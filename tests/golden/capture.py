@@ -2,10 +2,10 @@
 
 Usage (from the repository root)::
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python tests/golden/capture.py
+    PYTHONPATH=src python tests/golden/capture.py
 
 The corpus is ``samples/`` plus seeded instances built with
-``tests/gen.py``, which are written to ``tests/golden/inputs/``.  Every
+``tests/gen.py``, stored under ``tests/golden/inputs/``.  Every
 subcommand runs on every input (including the ones that must fail, so
 the exit-code contract is pinned as well), and one file per input under
 ``tests/golden/expected/`` records the cases.  A few deep cases run only
@@ -16,13 +16,15 @@ spine, ``solve`` and ``realize`` on two 400-vertex trees, and
 replays them.  Re-capturing is a deliberate golden update: review the
 diff and record it in CHANGES.md.
 
-The stored inputs were drawn while ``tests/gen.py`` shuffled coupling
-supports in frozenset order, which follows the hash seed.  It now
-shuffles them sorted, so this script no longer reproduces the stored
-inputs: the couplings of 20 of the 50 ``gen_*`` instances come out
-different (every other field, and every other input, is the same).  A
-re-capture therefore changes those inputs and the records that read
-their couplings.
+Every record is captured from the stored input file.  A generated
+input is written only when its file is missing; the seeded streams are
+still drawn in order, since each draw depends on the ones before it,
+and a draw whose file exists is dropped.  The stored ``gen_*`` inputs
+were drawn while ``tests/gen.py`` shuffled coupling supports in
+frozenset order, which followed the hash seed; it now shuffles them
+sorted, so a deleted ``gen_*`` input may come back with a different
+coupling (20 of the 50 would).  Every other input comes back byte for
+byte.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -160,16 +161,14 @@ def corpus() -> list[tuple[str, Path, list]]:
 
 
 def main() -> int:
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        # The stored inputs were drawn under this seed (see the docstring).
-        print("capture.py needs PYTHONHASHSEED=0 to reproduce its corpus", file=sys.stderr)
-        return 2
     inputs_dir = HERE / "inputs"
     expected_dir = HERE / "expected"
     inputs_dir.mkdir(exist_ok=True)
     expected_dir.mkdir(exist_ok=True)
     for name, data in generated_instances() + generated_families() + deep_instances():
-        (inputs_dir / f"{name}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        path = inputs_dir / f"{name}.json"
+        if not path.exists():
+            path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     for name, path, arg_lists in corpus():
         cases = []
         for args in arg_lists:

@@ -317,6 +317,30 @@ def test_family_spec_malformed_exit_2(tmp_path, spec, fragment):
     assert "Traceback" not in result.stderr
 
 
+ONES = ["1"] * 5
+
+
+@pytest.mark.parametrize(
+    "masses, lengths, line",
+    [
+        (["0", *ONES[1:]], ONES, "level 1: truncation carries no mass; cannot renormalize"),
+        (["1", "1"], ONES, "level 3: family masses list has 2 entries, level 3 requested"),
+        (ONES, ["1", "1", "1"], "level 4: family lengths list has 3 entries, level 4 requested"),
+        (["1", "1", "1"], ["1", "1", "1"], "level 4: family masses list has 3 entries, level 4 requested"),
+        (["1", "1", "-1", "1", "1"], ONES, "level 3: family masses must be nonnegative"),
+        (["1", "1", "-1", "1", "1"], ["1", "1", "0", "1", "1"], "level 3: family masses must be nonnegative"),
+        (ONES, ["1", "1", "1", "1", "0"], "level 5: family lengths must be positive"),
+    ],
+)
+def test_family_level_error_lines(tmp_path, masses, lengths, line):
+    # The last case is the level-5 length, which the level-5 tree leaves out.
+    spec = {"kind": "custom", "masses": masses, "lengths": lengths}
+    result = run_cli("family", "--input", write(tmp_path, "family.json", spec), "--max-level", "5")
+    assert result.returncode == 2
+    assert result.stderr == f"invalid instance: {line}\n"
+    assert result.stdout == ""
+
+
 def test_family_bad_json_message_unchanged(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "spine",')

@@ -14,8 +14,10 @@ from wassertree import (
     decide,
     realize,
     snapshot,
+    snapshots,
     spine_truncation,
     validate_tree,
+    verify_geodesic,
 )
 from wassertree.theory import reverse_plan, second_moment
 
@@ -121,19 +123,22 @@ def test_float_times_are_refused(caterpillar, caterpillar_measures):
     # 0.1 is not 1/10: a float would reach the exact times as
     # 3602879701896397/36028797018963968.
     minus, plus = caterpillar_measures
-    plan = decide(caterpillar, minus, plus).plan
+    report = decide(caterpillar, minus, plus)
+    plan, ff = report.plan, report.flow_field
     float_hint = r"not a rational: 0\.1 \(floats are not accepted\)"
     with pytest.raises(ParseError, match=float_hint):
-        decide(caterpillar, minus, plus, sample_times=[0.1, Fraction(7, 10)])
+        verify_geodesic(plan, ff, [0.1, Fraction(7, 10)])
     with pytest.raises(ParseError, match=float_hint):
         realize(caterpillar, minus, plus, times=[0.1])
     with pytest.raises(ParseError, match=float_hint):
         snapshot(plan, 0.1, caterpillar)
+    with pytest.raises(ParseError, match=float_hint):
+        snapshots(plan, [1, 0.1], caterpillar)
 
     exact = [Fraction(1, 10), Fraction(7, 10), Fraction(2)]
-    report = decide(caterpillar, minus, plus, sample_times=exact)
-    assert [r for r, *_ in report.geodesic.speed_checks[:2]] == [Fraction(1, 10)] * 2
-    assert decide(caterpillar, minus, plus, sample_times=["1/10", " 7/10", 2]).geodesic == report.geodesic
+    geodesic = verify_geodesic(plan, ff, exact)
+    assert [r for r, *_ in geodesic.speed_checks[:2]] == [Fraction(1, 10)] * 2
+    assert verify_geodesic(plan, ff, ["1/10", " 7/10", 2]) == geodesic
     _, _, snaps = realize(caterpillar, minus, plus, times=["1/10", 2])
     assert snaps == [snapshot(plan, Fraction(1, 10), caterpillar), snapshot(plan, 2, caterpillar)]
 

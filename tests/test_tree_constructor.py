@@ -20,6 +20,7 @@ import pytest
 from wassertree import FamilySpec, MetricTree, WassertreeError, realizability, tree, validate_tree
 
 import gen
+from oracles import spine
 from oracles.tree_init import ReferenceTree
 
 ROOT = Path(__file__).parent.parent
@@ -93,8 +94,12 @@ def _family_trees(monkeypatch):
     for path in sorted(ROOT.glob("samples/spine_*.json")):
         spec = FamilySpec.from_json(json.loads(path.read_text()))
         for level in (1, 2, 3, 7, 20):
-            for raw in _recorded(monkeypatch, (realizability, tree), lambda: spec.truncation(level)):
-                yield f"{path.name} level {level}", raw
+            # The reference route builds the raw spine and canonicalizes it;
+            # the library builds the canonical tree directly.
+            data = spec.level_data(level)
+            for build in (spine.spine_truncation, realizability.spine_truncation):
+                for raw in _recorded(monkeypatch, (spine, tree, realizability), lambda: build(*data)):
+                    yield f"{path.name} level {level}", raw
 
 
 def _gen_trees(monkeypatch):

@@ -110,9 +110,10 @@ def test_closed_form_equals_simplex_on_spines(name):
 def test_certified_speed_checks_equal_snapshot_lp():
     times = [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)]
     for idx, (t, minus, plus) in enumerate(_instances(seed=616161, count=25, max_side=5)):
-        report = decide(t, minus, plus, sample_times=times)
-        assert len(report.geodesic.speed_checks) == 10
-        for r, s, value, _expected, _ok in report.geodesic.speed_checks:
+        report = decide(t, minus, plus)
+        checks = verify_geodesic(report.plan, report.flow_field, times).speed_checks
+        assert len(checks) == 10
+        for r, s, value, _expected, _ok in checks:
             oracle = snapshot_transport_value(
                 t, snapshot(report.plan, r, t), snapshot(report.plan, s, t)
             )

@@ -10,6 +10,9 @@ function over the whole tree (``certificate.py``).  Every test here
 compares a stage with its oracle by exact equality.
 """
 
+import contextlib
+import io
+import json
 import random
 import sys
 from collections import Counter
@@ -20,12 +23,17 @@ from wassertree import (
     Coupling,
     MetricTree,
     antagonist_pairs,
+    cli,
     compute_flow_field,
     decide,
     dynamics,
     flows,
     lift,
     realizability,
+    realize,
+    serialize,
+    snapshot,
+    snapshots,
     solve_optimal_coupling,
     verify_geodesic,
 )
@@ -76,9 +84,9 @@ def _assert_reports_match(plan, ff, times, where):
 
 def test_certificate_matches_time_function_on_criterion_5():
     for idx, (t, minus, plus) in enumerate(_instances(seed=616161, count=25, max_side=5)):
-        report = decide(t, minus, plus, sample_times=CRITERION_5_TIMES)
+        report = decide(t, minus, plus)
         again = _assert_reports_match(report.plan, report.flow_field, CRITERION_5_TIMES, f"instance {idx}")
-        assert again == report.geodesic and again.passed, f"instance {idx}"
+        assert again.passed and report.geodesic.passed, f"instance {idx}"
 
 
 def test_certificate_matches_time_function_on_non_geodesic_plans():
@@ -173,6 +181,54 @@ def test_decide_reads_no_dense_view(monkeypatch):
         calls.clear()
         lift(report.coupling, t)
         assert not calls
+
+
+def test_snapshots_walk_each_atom_path_once(monkeypatch, tmp_path):
+    """``snapshot``, ``realize`` and ``cli realize`` read each atom's path once.
+
+    On a seeded 40-vertex tree whose plan has 7 atoms, ``decide`` walks
+    14 paths (the greedy's and the verifier's) and the snapshots at four
+    times add one walk per atom, not one per atom and time.  The CLI's
+    plan rendering walks each path once more.  The
+    snapshots equal the ones built atom by atom with
+    :meth:`PlanAtom.position`, key order included.
+    """
+    rng = random.Random(11)
+    t = random_tree(rng, max_internal=40, min_internal=40)
+    minus, plus = random_measures(rng, t, max_side=6)
+    times = [0, 1, 2, 3]
+    path, calls = MetricTree.path, Counter()
+
+    def counted(*args, **kwargs):
+        calls["path"] += 1
+        return path(*args, **kwargs)
+
+    monkeypatch.setattr(MetricTree, "path", counted)
+    plan = decide(t, minus, plus).plan
+    assert len(t.vertices) == 40 and len(plan.atoms) == 7 and calls["path"] == 14
+
+    calls.clear()
+    _coupling, _plan, snaps = realize(t, minus, plus, times=times)
+    assert calls["path"] == 21
+    calls.clear()
+    assert snapshots(plan, times, t) == snaps and calls["path"] == 7
+    calls.clear()
+    assert snapshot(plan, 2, t) == snaps[2] and calls["path"] == 7
+    for snap, time in zip(snaps, times):
+        atoms = {}
+        for a in plan.atoms:
+            point = a.position(Fraction(time), t)
+            atoms[point] = atoms.get(point, Fraction(0)) + a.mass
+        assert list(snap.atoms.items()) == list(atoms.items()) and snap.time == time
+
+    instance = {**serialize.tree_to_json(t), "measures": serialize.measures_to_json(minus, plus)}
+    (tmp_path / "in.json").write_text(json.dumps(instance))
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["realize", "--input", str(tmp_path / "in.json"), "--times=0,1,2,3"])
+    assert code == 0 and len(json.loads(out.getvalue())["snapshots"]) == 4
+    # One more walk per atom renders the plan's vertex chains.
+    assert calls["path"] == 28
 
 
 # -- antagonism index ---------------------------------------------------------

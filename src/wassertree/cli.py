@@ -146,8 +146,13 @@ def cmd_realize(args) -> int:
     tree, measures, _ = serialize.load_instance(args.input)
     minus, plus = _require_measures(measures)
     report = decide(tree, minus, plus)
-    snaps = snapshots(report.plan, times, tree) if report.verdict == "realizable" and times else None
-    out = serialize.realizability_to_json(report, tree, snaps, decimal=args.decimal)
+    geodesics = snaps = None
+    if report.verdict == "realizable":
+        # One walk per atom serves the snapshots and the plan's vertex chains.
+        geodesics = [a.geodesic(tree) for a in report.plan.atoms]
+        if times:
+            snaps = snapshots(report.plan, times, tree, geodesics)
+    out = serialize.realizability_to_json(report, tree, snaps, args.decimal, geodesics)
     text = serialize.dumps(out)
     if args.dot:
         # Written before the report, so an unwritable path leaves no report behind.

@@ -212,16 +212,21 @@ class Snapshot:
         return sum(self.atoms.values(), Fraction(0))
 
 
-def snapshots(plan: DynamicalPlan, times, t: MetricTree) -> list[Snapshot]:
+def snapshots(plan: DynamicalPlan, times, t: MetricTree, geodesics=None) -> list[Snapshot]:
     """The plan at each of ``times``: ints, ``Fraction``s or ``"p/q"`` strings, never floats.
 
     Each atom's geodesic is read once and the atom located on it at
-    every time, so the snapshots cost one path walk per atom in all.
+    every time, so the snapshots cost one path walk per atom in all,
+    and none when the caller passes ``geodesics``, the atoms'
+    :meth:`PlanAtom.geodesic` in plan order.
     """
     times = [parse_fraction(x) for x in times]
+    if not times:
+        return []
+    if geodesics is None:
+        geodesics = [a.geodesic(t) for a in plan.atoms]
     merged: list[dict[TreePoint, Fraction]] = [{} for _ in times]
-    for a in plan.atoms if times else ():
-        verts, coords, _ = a.geodesic(t)
+    for a, (verts, coords, _) in zip(plan.atoms, geodesics):
         for atoms, time in zip(merged, times):
             p = a._locate(verts, coords, time)
             atoms[p] = atoms.get(p, _ZERO) + a.mass

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Mapping, Union
 
 from .errors import DomainError
@@ -55,7 +56,10 @@ class BoundaryMeasure:
 
     Zero-mass atoms are dropped at construction so that the stored
     support equals the measure-theoretic support; masses must be
-    nonnegative rationals summing to exactly 1.
+    nonnegative rationals summing to exactly 1.  The total is checked
+    as one integer sum, each mass counted in units of the lcm of the
+    denominators; the ``Fraction`` total is formed only to name it in
+    the error.
     """
 
     __slots__ = ("atoms",)
@@ -68,9 +72,10 @@ class BoundaryMeasure:
                 raise DomainError(f"negative mass {mass} on end {end_id!r}")
             if mass > 0:
                 cleaned[str(end_id)] = mass
-        total = sum(cleaned.values(), Fraction(0))
-        if total != 1:
-            raise DomainError(f"masses sum to {total}, expected 1")
+        unit = lcm(*(m.denominator for m in cleaned.values()))
+        total = sum(m.numerator * (unit // m.denominator) for m in cleaned.values())
+        if total != unit:
+            raise DomainError(f"masses sum to {Fraction(total, unit)}, expected 1")
         self.atoms = cleaned
 
     @property

@@ -233,6 +233,7 @@ def spine_truncation(
         raise StructureError("masses and lengths must have the same level count")
     if K < 1:
         raise StructureError("need at least one level")
+    masses = [parse_fraction(x) for x in masses]
     total = sum(masses, Fraction(0))
     if total <= 0:
         raise StructureError("truncation carries no mass; cannot renormalize")

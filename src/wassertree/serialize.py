@@ -20,7 +20,12 @@ keys so identical inputs produce byte-identical files.
 :func:`dumps` renders a report with its own one-pass renderer, and its
 output is byte for byte that of ``json.dumps(obj, sort_keys=True,
 indent=2)`` plus a newline; ``tests/test_serialize.py`` checks this
-against the standard library on generated values.
+against the standard library on generated values.  Most of a report's
+bytes are lists of flat rows: dicts with the same string keys and only
+string values (``d0`` pairs, flow edges and vertices, coupling atoms,
+witnesses).  The renderer fills such a list from one ``%``-template
+built from the sorted quoted keys, one quoted value per field, and
+renders any other list item by item.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Optional
 
 from .dynamics import DynamicalPlan, GeodesicReport, Snapshot
@@ -89,7 +95,9 @@ def _render(value, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        parts = [_render(item, inner) for item in value]
+        parts = _render_rows(value, inner)
+        if parts is None:
+            parts = [_render(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     if value is None:
         return "null"
@@ -100,6 +108,41 @@ def _render(value, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_rows(rows, indent: str):
+    """The rendered items of a list of flat rows, or ``None`` for any other sequence.
+
+    A flat row is a ``dict`` (not a subclass) whose values are all
+    ``str``; a ``list`` (not a tuple) qualifies when every item is one
+    with exactly the first item's ``str`` keys.  Then one ``%``-template,
+    built once from the sorted quoted keys, renders every row.  Anything
+    else (a missing or extra key, a value of another type, an item that
+    is no ``dict``) returns ``None``, and :func:`_render` renders the
+    items one by one, raising any :class:`TypeError` it should.
+    """
+    first = rows[0]
+    if type(rows) is not list or type(first) is not dict or not first:
+        return None
+    if any(type(key) is not str for key in first):
+        return None
+    keys = sorted(first)
+    inner = indent + "  "
+    fields = (",\n" + inner).join(_quote(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{\n" + inner + fields + "\n" + indent + "}"
+    count = len(keys)
+    values = itemgetter(*keys) if count > 1 else lambda row: (row[keys[0]],)
+    parts = []
+    try:
+        for row in rows:
+            if type(row) is not dict or len(row) != count:
+                return None
+            # A key the first row lacks is a KeyError, since the row has
+            # as many keys; _quote refuses any value that is not a str.
+            parts.append(template % tuple(map(_quote, values(row))))
+    except (KeyError, TypeError):
+        return None
+    return parts
 
 
 def _expect(condition: bool, message: str):
@@ -267,10 +310,14 @@ def snapshot_to_json(s: Snapshot, t: MetricTree, decimal: Optional[int] = None) 
     return {"time": format_fraction(s.time), "atoms": atoms}
 
 
-def plan_to_json(plan: DynamicalPlan, t: MetricTree) -> dict:
+def plan_to_json(plan: DynamicalPlan, t: MetricTree, geodesics=None) -> dict:
+    """Each atom's ends, mass, offset and vertex chain, read from ``geodesics``
+    (the atoms' :meth:`~wassertree.dynamics.PlanAtom.geodesic` in plan
+    order) when given, else from one path walk per atom."""
+    if geodesics is None:
+        geodesics = [a.geodesic(t) for a in plan.atoms]
     atoms = []
-    for a in plan.atoms:
-        vertices, _, k = a.geodesic(t)
+    for a, (vertices, _, k) in zip(plan.atoms, geodesics):
         atoms.append(
             {
                 "source": a.source,
@@ -308,7 +355,9 @@ def realizability_to_json(
     t: MetricTree,
     snapshots: Optional[list[Snapshot]] = None,
     decimal: Optional[int] = None,
+    geodesics=None,
 ) -> dict:
+    """The report, its plan rendered from ``geodesics`` as :func:`plan_to_json` does."""
     out: dict = {"antipodal": report.antipodal, "verdict": report.verdict}
     if report.lp_value is not None:
         out["lp_value"] = format_fraction(report.lp_value)
@@ -317,7 +366,7 @@ def realizability_to_json(
             out["lp_value_decimal"] = decimal_string(report.lp_value, decimal)
             out["specific_flow_moment_decimal"] = decimal_string(report.flow_moment, decimal)
         out["coupling"] = coupling_to_json(report.coupling)["atoms"]
-        out["plan"] = plan_to_json(report.plan, t)["atoms"]
+        out["plan"] = plan_to_json(report.plan, t, geodesics)["atoms"]
         out["geodesic"] = _geodesic_to_json(report.geodesic)
     if snapshots is not None:
         out["snapshots"] = [snapshot_to_json(s, t, decimal) for s in snapshots]

@@ -99,6 +99,22 @@ def test_validate_bad_measure_sum_exit_2(tmp_path):
     assert any("bad measures" in v for v in out["violations"])
 
 
+def test_bad_measure_total_keeps_its_message_and_exit_codes(tmp_path):
+    """A total 1/big short of 1: validate lists it (exit 2), the others refuse it (exit 4)."""
+    big = 2**400 + 1
+    payload = dict(CATERPILLAR)
+    payload["measures"] = {"minus": {"A": "1/3", "C": f"{2 * big - 3}/{3 * big}"}, "plus": {"B": "1"}}
+    path = write(tmp_path, "short.json", payload)
+    message = f"masses sum to {1 - Fraction(1, big)}, expected 1"
+    result = run_cli("validate", "--input", path)
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["violations"] == [f"bad measures: {message}"]
+    for command in ("flows", "solve", "realize"):
+        result = run_cli(command, "--input", path)
+        assert (result.returncode, result.stdout) == (4, ""), command
+        assert result.stderr == f"domain error: {message}\n", command
+
+
 def test_truncated_file_exit_3(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"vertices": ["v0"], ')

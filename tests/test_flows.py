@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,59 @@ def test_measure_rejects_bad_mass():
         BoundaryMeasure({"A": Fraction(1, 2)})
     with pytest.raises(DomainError):
         BoundaryMeasure({"A": Fraction(3, 2), "B": Fraction(-1, 2)})
+
+
+def _fraction_sum_error(atoms) -> str:
+    """The refusal of a total other than 1, from a plain ``Fraction`` sum."""
+    total = sum((Fraction(m) for m in atoms.values()), Fraction(0))
+    return "" if total == 1 else f"masses sum to {total}, expected 1"
+
+
+def _mass_check_cases(rng: random.Random):
+    """Seeded measures on both sides of total 1, with large denominators."""
+    yield {}
+    yield {"A": 0, "B": "0"}
+    for _ in range(40):
+        size = rng.randint(1, 12)
+        bits = rng.choice([8, 64, 420])
+        dens = [rng.getrandbits(bits) | 1 for _ in range(size)]
+        atoms = {f"e{i}": Fraction(rng.randrange(d), d * size) for i, d in enumerate(dens)}
+        last = f"e{size}"
+        atoms[last] = 1 - sum(atoms.values())
+        for i in rng.sample(range(size), size // 3):
+            atoms[f"z{i}"] = Fraction(0)  # zero-mass atoms, dropped
+        yield atoms
+        big = rng.getrandbits(400) | 1
+        yield {**atoms, last: atoms[last] + Fraction(1, big)}
+        if atoms[last] >= Fraction(1, big):
+            yield {**atoms, last: atoms[last] - Fraction(1, big)}
+    # Pairwise coprime denominators over 400 bits: a common factor of
+    # 1 + i*M and 1 + j*M divides j - i, hence M, hence neither.
+    for _ in range(10):
+        M = 720 * (rng.getrandbits(400) | (1 << 399))
+        dens = [1 + k * M for k in range(1, 7)]
+        assert all(gcd(p, q) == 1 for p, q in combinations(dens, 2))
+        atoms = {f"e{k}": Fraction(rng.randint(1, 9), d) for k, d in enumerate(dens)}
+        atoms["last"] = 1 - sum(atoms.values())
+        yield atoms
+        yield {**atoms, "last": atoms["last"] + Fraction(1, dens[0])}
+        yield {**atoms, "last": atoms["last"] - Fraction(1, dens[-1])}
+
+
+def test_mass_check_matches_fraction_sum():
+    valid = refused = 0
+    for atoms in _mass_check_cases(random.Random(2626)):
+        want = _fraction_sum_error(atoms)
+        try:
+            m = BoundaryMeasure(atoms)
+        except DomainError as exc:
+            assert str(exc) == want and want, atoms
+            refused += 1
+        else:
+            assert not want, atoms
+            assert m.atoms == {e: x for e, x in atoms.items() if x}
+            valid += 1
+    assert valid >= 50 and refused >= 90, (valid, refused)
 
 
 def test_antipodal_examples(caterpillar, tripod, caterpillar_measures):

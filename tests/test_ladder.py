@@ -19,6 +19,7 @@ ROOT = Path(__file__).parent.parent
 TOOL = ROOT / "tools" / "ladder.py"
 SPINE = ROOT / "tests" / "golden" / "inputs" / "deep_spine_200.json"
 STAGES = {"parse_s", "validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s"}
+COMMANDS = ("d0", "flows", "validate")
 
 
 def test_smallest_rung_writes_a_row(tmp_path):
@@ -31,7 +32,7 @@ def test_smallest_rung_writes_a_row(tmp_path):
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-    digests = tuple(hashlib.sha256(_stdout(c).encode()).hexdigest() for c in ("d0", "flows"))
+    digests = {c: hashlib.sha256(_stdout(c).encode()).hexdigest() for c in COMMANDS}
     data = json.loads(out.read_text())
     assert data["schema"] == "wassertree-ladder/1"
     # A second run with a label already in the file replaces its row.
@@ -51,16 +52,12 @@ def test_smallest_rung_writes_a_row(tmp_path):
         assert isinstance(rung["max_den_bits"], int) and rung["max_den_bits"] > 0
         assert rung["passed"] is True
         cli = row["cli"]
-        assert set(cli) == {
-            "input", "dont_write_bytecode", "d0_s", "d0_cached_s", "d0_sha256",
-            "flows_s", "flows_cached_s", "flows_sha256",
-        }
+        times = {f"{c}{suffix}" for c in COMMANDS for suffix in ("_s", "_cached_s")}
+        assert set(cli) == {"input", "dont_write_bytecode", *times, *(f"{c}_sha256" for c in COMMANDS)}
         assert isinstance(cli["dont_write_bytecode"], bool)
         assert cli["input"] == "tests/golden/inputs/deep_spine_200.json"
-        assert all(
-            isinstance(cli[k], float) and cli[k] > 0 for k in ("d0_s", "d0_cached_s", "flows_s", "flows_cached_s")
-        )
-        assert (cli["d0_sha256"], cli["flows_sha256"]) == digests
+        assert all(isinstance(cli[k], float) and cli[k] > 0 for k in times)
+        assert {c: cli[f"{c}_sha256"] for c in COMMANDS} == digests
 
 
 def _stdout(command: str) -> str:

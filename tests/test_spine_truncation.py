@@ -115,6 +115,25 @@ def test_refusals_match_reference(masses, lengths, error, message):
     assert str(new.value) == (message or str(old.value))
 
 
+@pytest.mark.parametrize(
+    "masses, lengths",
+    [(["1", "1"], [1, 1]), ([1, "1"], ["1", ONE]), (["1/3", "0", 2], [1, "5/2", "1"])],
+)
+def test_masses_parse_like_lengths(masses, lengths):
+    """A mass given as an int or a ``"p/q"`` string reads as its Fraction, as a length does."""
+    got = spine_truncation(masses, lengths)
+    want = spine_truncation([Fraction(m) for m in masses], [Fraction(x) for x in lengths])
+    for field in FIELDS:
+        assert getattr(got[0], field) == getattr(want[0], field), field
+    assert repr(got[1].atoms) == repr(want[1].atoms) and repr(got[2].atoms) == repr(want[2].atoms)
+
+
+def test_float_mass_is_a_parse_error_that_names_it():
+    # The reference sums the masses raw and names the renormalized float.
+    with pytest.raises(ParseError, match=r"^not a rational: 0\.5 \(floats are not accepted\)$"):
+        spine_truncation([ONE, 0.5], [ONE, ONE])
+
+
 def test_family_analyze_builds_one_tree_per_level(monkeypatch):
     built, walks = [], []
     init, walk = MetricTree.__init__, tree_module._walk_from_base

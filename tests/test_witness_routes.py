@@ -188,8 +188,8 @@ def test_snapshots_walk_each_atom_path_once(monkeypatch, tmp_path):
 
     On a seeded 40-vertex tree whose plan has 7 atoms, ``decide`` walks
     14 paths (the greedy's and the verifier's) and the snapshots at four
-    times add one walk per atom, not one per atom and time.  The CLI's
-    plan rendering walks each path once more.  The
+    times add one walk per atom, not one per atom and time.  The CLI
+    renders the plan's vertex chains from those same walks.  The
     snapshots equal the ones built atom by atom with
     :meth:`PlanAtom.position`, key order included.
     """
@@ -227,8 +227,8 @@ def test_snapshots_walk_each_atom_path_once(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["realize", "--input", str(tmp_path / "in.json"), "--times=0,1,2,3"])
     assert code == 0 and len(json.loads(out.getvalue())["snapshots"]) == 4
-    # One more walk per atom renders the plan's vertex chains.
-    assert calls["path"] == 28
+    # The plan's vertex chains are read from the snapshots' walks.
+    assert calls["path"] == 21
 
 
 # -- antagonism index ---------------------------------------------------------

@@ -15,7 +15,8 @@ with the default sample times, falls in ``verify_s``.  The
 row also records the largest denominator bit-length among the flows,
 the coupling, the value, the moment and the speed checks.
 
-The CLI rung times ``wassertree d0`` and ``wassertree flows`` end to end
+The CLI rung times ``wassertree d0``, ``wassertree flows`` and
+``wassertree validate`` (which checks both measures' totals) end to end
 on the 200-level spine ``tests/golden/inputs/deep_spine_200.json``: each
 run is a fresh interpreter (start-up, import, parse, compute, render and
 write to a file), ``--repeats`` times, median kept.  The SHA-256 of each
@@ -57,7 +58,7 @@ from time import perf_counter
 SCHEMA = "wassertree-ladder/1"
 ROOT = Path(__file__).resolve().parent.parent
 CLI_INPUT = "tests/golden/inputs/deep_spine_200.json"
-CLI_COMMANDS = ("d0", "flows")
+CLI_COMMANDS = ("d0", "flows", "validate")
 RUNGS = ("50/10", "200/40", "500/100", "2000/400")
 SEED = 7
 STAGES = ("parse_s", "validate_root_s", "flows_s", "solve_s", "lift_s", "verify_s")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import serialize
 from .dot import tree_to_dot
@@ -181,7 +182,9 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wassertree",
         description="Exact transport between boundary measures of a metric tree.",

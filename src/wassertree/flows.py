@@ -13,6 +13,13 @@ functional used by the realizability decision.
 A :class:`FlowField` keeps only the net subtree masses and the positive
 out-flows at charged vertices, and reads every other flow from them on
 demand.
+
+Every flow is a multiple of ``1/Q``, where ``Q`` is the lcm of the two
+measures' denominators, so the layer sums integers in that unit: the
+bottom-up subtree sums, the out-flows, the specific flows and the
+second moment (one integer over ``Q·L²``, with ``L`` the lcm of the
+depth denominators it reads).  A ``Fraction`` is formed once, where a
+number leaves the layer.
 """
 
 from __future__ import annotations
@@ -56,27 +63,31 @@ class BoundaryMeasure:
 
     Zero-mass atoms are dropped at construction so that the stored
     support equals the measure-theoretic support; masses must be
-    nonnegative rationals summing to exactly 1.  The total is checked
-    as one integer sum, each mass counted in units of the lcm of the
-    denominators; the ``Fraction`` total is formed only to name it in
+    nonnegative rationals summing to exactly 1.  ``unit`` is the lcm of
+    the denominators and ``units[e]`` is the mass of ``e`` in units of
+    ``1/unit``; the total is checked as the one integer sum of
+    ``units``, and the ``Fraction`` total is formed only to name it in
     the error.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "unit", "units")
 
     def __init__(self, atoms: Mapping[str, Union[Fraction, int, str]]):
         cleaned: dict[str, Fraction] = {}
         for end_id in sorted(atoms):
             mass = parse_fraction(atoms[end_id])
-            if mass < 0:
+            if mass.numerator < 0:
                 raise DomainError(f"negative mass {mass} on end {end_id!r}")
-            if mass > 0:
+            if mass.numerator:
                 cleaned[str(end_id)] = mass
         unit = lcm(*(m.denominator for m in cleaned.values()))
-        total = sum(m.numerator * (unit // m.denominator) for m in cleaned.values())
+        units = {e: m.numerator * (unit // m.denominator) for e, m in cleaned.items()}
+        total = sum(units.values())
         if total != unit:
             raise DomainError(f"masses sum to {Fraction(total, unit)}, expected 1")
         self.atoms = cleaned
+        self.unit = unit
+        self.units = units
 
     @property
     def support(self) -> frozenset[str]:
@@ -126,7 +137,9 @@ class FlowField:
     where that subtree holds a support end, and every other subtree
     carries 0.  ``out[x]`` is the positive out-flow at each vertex that
     has one, and :attr:`specific` the specific flow there; every other
-    vertex has 0 of both.  :meth:`flow` and :meth:`flow_to_end` read
+    vertex has 0 of both.  ``unit`` is the lcm ``Q`` of the measures'
+    denominators, and ``specific_units[x]`` is the integer
+    ``specific[x] * Q``.  :meth:`flow` and :meth:`flow_to_end` read
     single flows in constant time, so a caller that follows a few paths
     pays for those paths only; :meth:`edge_flows` reads every finite
     edge in one pass.
@@ -137,6 +150,8 @@ class FlowField:
     plus: BoundaryMeasure
     below: Mapping[str, Fraction]
     out: Mapping[str, Fraction]
+    unit: int
+    specific_units: Mapping[str, int]
 
     def flow(self, tail: str, head: str) -> Fraction:
         """Flow through an oriented edge; end ids address end-edges."""
@@ -186,36 +201,35 @@ class FlowField:
         The positive out-flow less the flow on the edge toward the base
         (none at the base).  A vertex with no positive out-flow has none
         on that edge either, so only the keys of ``out`` can carry one.
-        Derived once, on first read.
+        Formed from ``specific_units`` once, on first read.
         """
-        parent = self.tree._root().parent
-        below = self.below
-        specific = {}
-        for x, total in self.out.items():
-            net = below.get(x)
-            specific[x] = total - abs(net) if net and parent[x] is not None else total
-        return specific
+        return _fractions(self.specific_units, self.unit)
 
 
-def _below_sums(t: MetricTree, charges) -> dict[str, Fraction]:
-    """Sparse bottom-up sums of end charges over the rooted tree.
+def _fractions(units: Mapping[str, int], unit: int) -> dict[str, Fraction]:
+    return {key: Fraction(n, unit) for key, n in units.items()}
 
-    ``charges`` yields ``(end id, signed mass)`` pairs.  Each charge is
-    seeded at its end's attach vertex; one walk over the preorder
-    backwards then adds every seeded vertex into its parent.  Only
-    vertices with a charged subtree get a key (the base included).
+
+def _below_sums(t: MetricTree, charges) -> dict[str, int]:
+    """Sparse bottom-up sums of integer end charges over the rooted tree.
+
+    ``charges`` yields ``(end id, signed mass)`` pairs, each mass an
+    ``int`` in the caller's unit.  Each charge is seeded at its end's
+    attach vertex; one walk over the preorder backwards then adds every
+    seeded vertex into its parent.  Only vertices with a charged subtree
+    get a key (the base included).
     """
     index = t._root()
-    below: dict[str, Fraction] = {}
+    below: dict[str, int] = {}
     for end_id, mass in charges:
         v = t.attach(end_id)
-        below[v] = below[v] + mass if v in below else mass
+        below[v] = below.get(v, 0) + mass
     parent = index.parent
     for v in reversed(index.order):
         if v in below:
             p = parent[v]
             if p is not None:
-                below[p] = below[p] + below[v] if p in below else below[v]
+                below[p] = below.get(p, 0) + below[v]
     return below
 
 
@@ -227,9 +241,10 @@ def subtree_masses(t: MetricTree, measure: BoundaryMeasure) -> dict[str, Fractio
     vertex into its parent only where a mass exists.  So only vertices
     with a charged subtree appear; every other vertex has subtree mass
     0.  The flow through the edge from ``parent(y)`` into ``y`` is
-    ``plus`` minus ``minus`` of this quantity at ``y``.
+    ``plus`` minus ``minus`` of this quantity at ``y``.  The pass sums
+    the measure's integer ``units``.
     """
-    return _below_sums(t, measure.atoms.items())
+    return _fractions(_below_sums(t, measure.units.items()), measure.unit)
 
 
 def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> FlowField:
@@ -241,41 +256,67 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
     ``y``.  A vertex's positive out-flow is the sum of its children's
     positive ``below``, of ``-below[x]`` when that is positive (the edge
     toward the base) and of its ``plus`` end atoms; only the vertices
-    where it is positive get a key.  Nothing else is computed here: no
-    map over every edge, end or vertex is ever filled (see
-    :class:`FlowField`).
+    where it is positive get a key.  All of it is summed in integers in
+    units of ``1/Q``, ``Q`` the lcm of the two measures' units, and each
+    stored ``Fraction`` is formed once as ``Fraction(n, Q)``.  Nothing
+    else is computed here: no map over every edge, end or vertex is ever
+    filled (see :class:`FlowField`).
     """
     if not check_antipodal(t, minus, plus):  # validates the tree first
         raise DomainError("measures are not antipodal (supports intersect)")
 
     parent = t._root().parent
-    below = _below_sums(
-        t, [*plus.atoms.items(), *((e, -m) for e, m in minus.atoms.items())]
-    )
-    out: dict[str, Fraction] = {}
+    unit = lcm(minus.unit, plus.unit)
+    up, down = unit // plus.unit, unit // minus.unit
+    gains = [(e, n * up) for e, n in plus.units.items()]
+    below = _below_sums(t, [*gains, *((e, -n * down) for e, n in minus.units.items())])
+    out: dict[str, int] = {}
     for y, net in below.items():
         if net > 0:
             p = parent[y]
             if p is not None:
-                out[p] = out[p] + net if p in out else net
+                out[p] = out.get(p, 0) + net
         elif net < 0:
-            out[y] = out[y] - net if y in out else -net
-    for e, mass in plus.atoms.items():
+            out[y] = out.get(y, 0) - net
+    for e, n in gains:
         x = t.attach(e)
-        out[x] = out[x] + mass if x in out else mass
-    return FlowField(tree=t, minus=minus, plus=plus, below=below, out=out)
+        out[x] = out.get(x, 0) + n
+    specific = {}
+    for x, total in out.items():
+        net = below.get(x)
+        specific[x] = total - abs(net) if net and parent[x] is not None else total
+    return FlowField(
+        tree=t,
+        minus=minus,
+        plus=plus,
+        below=_fractions(below, unit),
+        out=_fractions(out, unit),
+        unit=unit,
+        specific_units=specific,
+    )
+
+
+def _squared_depth_sum(t: MetricTree, weights: Mapping[str, int], unit: int) -> Fraction:
+    """``sum(weights[x] * depth(x)**2) / unit`` as one ``Fraction``.
+
+    Each depth ``a/b`` is scaled to the lcm ``L`` of the denominators of
+    the depths read, so the sum is one integer over ``unit * L**2``.
+    Zero weights are skipped and their depths never read.
+    """
+    depth = t._root().depth
+    terms = [(w, depth[x]) for x, w in weights.items() if w]
+    scale = lcm(*(d.denominator for _, d in terms))
+    total = 0
+    for w, d in terms:
+        a = d.numerator * (scale // d.denominator)
+        total += w * a * a
+    return Fraction(total, unit * scale * scale)
 
 
 def specific_flow_second_moment(t: MetricTree, ff: FlowField) -> Fraction:
     """Sum over vertices of specific flow times squared base distance.
 
     Only the vertices with a positive out-flow can carry specific flow,
-    so only they are summed.
+    so only they are summed, in integers (see :func:`_squared_depth_sum`).
     """
-    depth = t._root().depth
-    total = Fraction(0)
-    for x, flow in ff.specific.items():
-        if flow:
-            d = depth[x]
-            total += flow * d * d
-    return total
+    return _squared_depth_sum(t, ff.specific_units, ff.unit)

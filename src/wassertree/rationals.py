@@ -5,7 +5,10 @@ times) are `fractions.Fraction` instances.  On the wire they travel as
 strings like ``"3/4"`` or ``"-2"``; floats are rejected so that no
 rounding can sneak into a computation.  Exponent notation (``"1e5"``)
 is refused too: a short string could otherwise ask for a numerator or
-denominator of any number of digits before a single check runs.
+denominator of any number of digits before a single check runs.  A
+plain ASCII ``[-]digits[/digits]`` string, the form every report
+writes, is read by two ``int`` calls; any other string goes through
+``Fraction``'s own parser, with the same result or the same error.
 """
 
 from __future__ import annotations
@@ -22,22 +25,29 @@ __all__ = ["parse_fraction", "format_fraction", "decimal_string", "INFINITY"]
 def parse_fraction(value) -> Fraction:
     """Parse an exact rational from an int, a Fraction or a "p/q" string.
 
-    Decimal strings such as ``"0.25"`` are read exactly; exponent
-    notation is a :class:`ParseError`.
+    A plain ASCII ``"p"``, ``"-p"``, ``"p/q"`` or ``"-p/q"`` is read
+    with ``int``.  Other strings go to ``Fraction``: decimal strings
+    such as ``"0.25"`` are read exactly, and exponent notation is a
+    :class:`ParseError`.  A zero denominator, or more digits than
+    Python's int-to-str limit, is a :class:`ParseError` on either route.
     """
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ParseError(f"not a rational: {value!r} (exponent notation is not accepted)")
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        try:
+            if value.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise ParseError(f"not a rational: {value!r} (exponent notation is not accepted)")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational: {value!r}") from exc
     hint = " (floats are not accepted)" if isinstance(value, float) else ""
     raise ParseError(f"not a rational: {value!r}{hint}")
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Union
 
 from .errors import DomainError
-from .flows import BoundaryMeasure, FlowField, check_antipodal, subtree_masses
+from .flows import BoundaryMeasure, FlowField, _below_sums, _squared_depth_sum, check_antipodal
 from .rationals import parse_fraction
 from .tree import MetricTree
 
@@ -197,19 +198,25 @@ def optimal_value(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) 
     optimal coupling attains every such bound at once, hence::
 
         value = -sum_{y != base} min(minus(T_y), plus(T_y)) * (d(y)^2 - d(parent y)^2)
+
+    The subtree masses are the measures' integer ``units``, rescaled to
+    the lcm ``Q`` of the two units, and the sum is one integer over
+    ``Q * L**2`` (``L`` the lcm of the depth denominators read).
     """
     if not check_antipodal(t, minus, plus):
         raise DomainError("measures are not antipodal (supports intersect)")
-    index = t._root()
-    parent, depth = index.parent, index.depth
-    below_plus = subtree_masses(t, plus)
-    total = Fraction(0)
-    for y, mass in subtree_masses(t, minus).items():
+    parent = t._root().parent
+    unit = lcm(minus.unit, plus.unit)
+    up, down = unit // plus.unit, unit // minus.unit
+    below_plus = _below_sums(t, plus.units.items())
+    weights: dict[str, int] = {}
+    for y, mass in _below_sums(t, minus.units.items()).items():
         p = parent[y]
-        shared = min(mass, below_plus.get(y, Fraction(0)))
+        shared = min(mass * down, below_plus.get(y, 0) * up)
         if p is not None and shared:
-            total += shared * (depth[y] * depth[y] - depth[p] * depth[p])
-    return -total
+            weights[y] = weights.get(y, 0) + shared
+            weights[p] = weights.get(p, 0) - shared
+    return -_squared_depth_sum(t, weights, unit)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """The dense flow field that the sparse one replaced.
 
 :func:`compute_flow_field` fills a value for every finite edge, every
-end and every vertex up front, from the same sparse bottom-up sums the
-library stores, and :class:`DenseFlowField` reads ``flow(tail, head)``
-from those filled maps.  The library keeps only the sums and the
-positive out-flows at charged vertices and reads every flow from them
-on demand; this route exists only to be compared with it by exact
-equality.
+end and every vertex up front, and :class:`DenseFlowField` reads
+``flow(tail, head)`` from those filled maps.  Its subtree masses are
+``Fraction`` sums that walk from each support end up to the base, over
+a rooting and depths of its own (:mod:`oracles.rooted`), so they share
+no code with the library's integer bottom-up pass.  The library keeps
+only the sums and the positive out-flows at charged vertices and reads
+every flow from them on demand; this route exists only to be compared
+with it by exact equality.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from wassertree.errors import DomainError
-from wassertree.flows import NEGATIVE, NEUTRAL, POSITIVE, BoundaryMeasure, _below_sums, check_antipodal
+from wassertree.flows import NEGATIVE, NEUTRAL, POSITIVE, BoundaryMeasure, check_antipodal
 from wassertree.tree import MetricTree, _edge_key
+
+from .rooted import rooting, subtree_masses
 
 _ZERO = Fraction(0)
 
@@ -51,8 +55,12 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
     if not check_antipodal(t, minus, plus):
         raise DomainError("measures are not antipodal (supports intersect)")
 
-    parent = t._root().parent
-    below = _below_sums(t, [*plus.atoms.items(), *((e, -m) for e, m in minus.atoms.items())])
+    parent, _depth = rooting(t)
+    below_plus, below_minus = subtree_masses(t, plus), subtree_masses(t, minus)
+    below = {
+        v: below_plus.get(v, _ZERO) - below_minus.get(v, _ZERO)
+        for v in below_plus.keys() | below_minus.keys()
+    }
 
     edge_flow: dict[tuple[str, str], Fraction] = {}
     classification: dict[tuple[str, str], str] = {}
@@ -113,7 +121,7 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
 
 def specific_flow_second_moment(t: MetricTree, ff: DenseFlowField) -> Fraction:
     """Sum over every vertex of specific flow times squared base distance."""
-    depth = t._root().depth
+    _parent, depth = rooting(t)
     total = Fraction(0)
     for x in t.vertices:
         flow = ff.specific_flow[x]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wassertree import OversizeError, serialize
+from wassertree import OversizeError, cli, serialize
 from wassertree.rationals import decimal_string
 from wassertree.serialize import load_instance
 
@@ -629,3 +629,18 @@ def test_fraction_beyond_int_str_limit_exit_4(tmp_path, command):
     assert result.returncode == 4
     assert "domain error" in result.stderr and "int-to-str limit" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_one_process_reuses_the_parser(tmp_path, capsys):
+    path = write(tmp_path, "cat.json", CATERPILLAR)
+    assert cli.main(["flows", "--input", path]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["d0", "--input", path, "--decimal", "3"]) == 0
+    assert '"d0_decimal": "2.000"' in capsys.readouterr().out
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["flows", "--input", path, "--no-such-flag"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert cli.main(["flows", "--input", path]) == 0
+    assert capsys.readouterr().out == first
+    assert '"phi0"' in first and "decimal" not in first

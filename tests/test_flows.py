@@ -229,10 +229,37 @@ def _dense_oracle_instances():
         masses = [Fraction(1, k) for k in range(1, level + 1)]
         lengths = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(level)]
         yield f"spine K={level}", spine_truncation(masses, lengths)
+    for _ in range(16):
+        t = random_tree(rng, max_internal=rng.choice((4, 10, 30)), extra_ends=8)
+        yield "coprime", (t, *_coprime_measures(rng, t))
+
+
+def _coprime_measures(rng: random.Random, t):
+    """Antipodal measures whose denominators are pairwise coprime and over
+    400 bits across both sides, with zero-mass atoms on either support."""
+    ends = sorted(t.ends)
+    rng.shuffle(ends)
+    k_minus = rng.randint(1, len(ends) // 2)
+    k_plus = rng.randint(1, len(ends) - k_minus)
+    # 1 + i*M and 1 + j*M share no factor (see _mass_check_cases).
+    M = 720 * (rng.getrandbits(400) | (1 << 399))
+    dens = iter(1 + k * M for k in range(1, len(ends) + 1))
+
+    def measure(support, zeros):
+        atoms = {e: Fraction(rng.randint(1, 9), next(dens)) for e in support[1:]}
+        atoms[support[0]] = 1 - sum(atoms.values())
+        atoms.update(dict.fromkeys(zeros, Fraction(0)))
+        return BoundaryMeasure(atoms)
+
+    minus_support, plus_support = ends[:k_minus], ends[k_minus : k_minus + k_plus]
+    minus = measure(minus_support, rng.sample(plus_support, len(plus_support) // 2))
+    plus = measure(plus_support, rng.sample(minus_support, len(minus_support) // 2))
+    assert minus.unit.bit_length() > 400 * (k_minus - 1) and not minus.support & plus.support
+    return minus, plus
 
 
 def test_sparse_field_matches_dense_oracle():
-    checked = 0
+    checked = coprime = 0
     for label, (t, minus, plus) in _dense_oracle_instances():
         ff = compute_flow_field(t, minus, plus)
         dense = oracle_flows.compute_flow_field(t, minus, plus)
@@ -259,7 +286,8 @@ def test_sparse_field_matches_dense_oracle():
                 with pytest.raises(DomainError, match="no edge between"):
                     field.flow(tail, head)
         checked += 1
-    assert checked >= 150
+        coprime += label == "coprime" and len(minus.support) > 1 and len(plus.support) > 1
+    assert checked >= 150 and coprime >= 10
 
 
 def test_dot_labels_and_colours_match_dense_oracle():

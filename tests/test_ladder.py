@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -53,10 +54,17 @@ def test_smallest_rung_writes_a_row(tmp_path):
         assert rung["passed"] is True
         cli = row["cli"]
         times = {f"{c}{suffix}" for c in COMMANDS for suffix in ("_s", "_cached_s")}
-        assert set(cli) == {"input", "dont_write_bytecode", *times, *(f"{c}_sha256" for c in COMMANDS)}
+        runs = {f"{k[:-2]}_runs_s" for k in times}
+        assert set(cli) == {
+            "input", "dont_write_bytecode", *times, *runs, *(f"{c}_sha256" for c in COMMANDS)
+        }
         assert isinstance(cli["dont_write_bytecode"], bool)
         assert cli["input"] == "tests/golden/inputs/deep_spine_200.json"
         assert all(isinstance(cli[k], float) and cli[k] > 0 for k in times)
+        for k in times:
+            # One time per run, and the median is theirs.
+            each = cli[f"{k[:-2]}_runs_s"]
+            assert len(each) == row["repeats"] and cli[k] == statistics.median(each)
         assert {c: cli[f"{c}_sha256"] for c in COMMANDS} == digests
 
 

@@ -19,12 +19,15 @@ The CLI rung times ``wassertree d0``, ``wassertree flows`` and
 ``wassertree validate`` (which checks both measures' totals) end to end
 on the 200-level spine ``tests/golden/inputs/deep_spine_200.json``: each
 run is a fresh interpreter (start-up, import, parse, compute, render and
-write to a file), ``--repeats`` times, median kept.  The SHA-256 of each
+write to a file), ``--repeats`` times.  The median is kept as
+``<command>_s``, and every run's time, in run order, as
+``<command>_runs_s``, so a row shows its own spread.  The SHA-256 of each
 output lets rows of two source trees be checked for identical bytes.
 The row records ``sys.flags.dont_write_bytecode``, which the children
 inherit: where it is set, every run compiles the package from source,
 so such rows are not comparable with rows where it is not.  Each
-command is also timed with cached bytecode (``<command>_cached_s``):
+command is also timed with cached bytecode (``<command>_cached_s``
+and ``<command>_cached_runs_s``):
 the children then run without ``PYTHONDONTWRITEBYTECODE`` and with
 ``PYTHONPYCACHEPREFIX`` set to a temporary directory, which one
 untimed run fills first.  The cached runs must write the same bytes.
@@ -164,13 +167,13 @@ def run_rung(wt, vertices: int, atoms: int, seed: int, repeats: int) -> dict:
     }
 
 
-def _median_run(argv, env, repeats: int) -> float:
+def _timed_runs(argv, env, repeats: int) -> list[float]:
     times = []
     for _ in range(repeats):
         clock = perf_counter()
         subprocess.run(argv, env=env, check=True)
-        times.append(perf_counter() - clock)
-    return round(statistics.median(times), 6)
+        times.append(round(perf_counter() - clock, 6))
+    return times
 
 
 def run_cli_rung(src: str, repeats: int) -> dict:
@@ -184,11 +187,13 @@ def run_cli_rung(src: str, repeats: int) -> dict:
         for i, command in enumerate(CLI_COMMANDS):
             argv = [sys.executable, "-m", "wassertree.cli", command]
             argv += ["--input", str(ROOT / CLI_INPUT), "--output", str(out)]
-            rung[f"{command}_s"] = _median_run(argv, env, repeats)
+            runs = rung[f"{command}_runs_s"] = _timed_runs(argv, env, repeats)
+            rung[f"{command}_s"] = statistics.median(runs)
             digest = rung[f"{command}_sha256"] = hashlib.sha256(out.read_bytes()).hexdigest()
             if i == 0:
                 subprocess.run(argv, env=cached_env, check=True)
-            rung[f"{command}_cached_s"] = _median_run(argv, cached_env, repeats)
+            runs = rung[f"{command}_cached_runs_s"] = _timed_runs(argv, cached_env, repeats)
+            rung[f"{command}_cached_s"] = statistics.median(runs)
             if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
                 raise RuntimeError(f"{command} wrote other bytes with cached bytecode")
     return rung

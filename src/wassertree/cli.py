@@ -91,27 +91,10 @@ def cmd_flows(args) -> int:
 
 
 def cmd_d0(args) -> int:
-    """The Gromov product (a|b), the depth of the two ends' meet, of every pair.
-
-    One pass per source end labels every vertex with its meet; a meet's
-    depth is rendered the first time a pair needs it.
-    """
+    """The Gromov product (a|b), the depth of the two ends' meet, of every pair."""
     tree, _measures, _ = serialize.load_instance(args.input)
     tree.require_valid()
-    columns: dict[str, dict] = {}
-    pairs = []
-    ends = sorted(tree.ends)
-    for i, a in enumerate(ends):
-        meets = tree.meets_with(tree.ends[a])
-        for b in ends[i + 1 :]:
-            meet = meets[tree.ends[b]]
-            if meet not in columns:
-                depth = tree.depth(meet)
-                columns[meet] = {"d0": format_fraction(depth)}
-                if args.decimal is not None:
-                    columns[meet]["d0_decimal"] = decimal_string(depth, args.decimal)
-            pairs.append({"a": a, "b": b, **columns[meet]})
-    _write_output(serialize.dumps({"pairs": pairs}), args.output)
+    _write_output(serialize.d0_to_text(tree, args.decimal), args.output)
     return EXIT_OK
 
 

@@ -12,7 +12,8 @@ functional used by the realizability decision.
 
 A :class:`FlowField` keeps only the net subtree masses and the positive
 out-flows at charged vertices, and reads every other flow from them on
-demand.
+demand; the out-flows and specific flows stay integers until they are
+first read as ``Fraction`` maps.
 
 Every flow is a multiple of ``1/Q``, where ``Q`` is the lcm of the two
 measures' denominators, so the layer sums integers in that unit: the
@@ -41,7 +42,6 @@ __all__ = [
     "compute_flow_field",
     "flow_class",
     "specific_flow_second_moment",
-    "subtree_masses",
 ]
 
 POSITIVE = "positive"
@@ -135,22 +135,22 @@ class FlowField:
     ``(plus - minus)(T_y)`` of the subtree under ``y`` (base as root),
     which is the flow from ``parent(y)`` into ``y``; it has a key only
     where that subtree holds a support end, and every other subtree
-    carries 0.  ``out[x]`` is the positive out-flow at each vertex that
+    carries 0.  :attr:`out` is the positive out-flow at each vertex that
     has one, and :attr:`specific` the specific flow there; every other
     vertex has 0 of both.  ``unit`` is the lcm ``Q`` of the measures'
-    denominators, and ``specific_units[x]`` is the integer
-    ``specific[x] * Q``.  :meth:`flow` and :meth:`flow_to_end` read
-    single flows in constant time, so a caller that follows a few paths
-    pays for those paths only; :meth:`edge_flows` reads every finite
-    edge in one pass.
+    denominators, and ``out_units[x]`` and ``specific_units[x]`` are the
+    integers ``out[x] * Q`` and ``specific[x] * Q``.  :meth:`flow` and
+    :meth:`flow_to_end` read single flows in constant time, so a caller
+    that follows a few paths pays for those paths only;
+    :meth:`edge_flows` reads every finite edge in one pass.
     """
 
     tree: MetricTree
     minus: BoundaryMeasure
     plus: BoundaryMeasure
     below: Mapping[str, Fraction]
-    out: Mapping[str, Fraction]
     unit: int
+    out_units: Mapping[str, int]
     specific_units: Mapping[str, int]
 
     def flow(self, tail: str, head: str) -> Fraction:
@@ -195,6 +195,12 @@ class FlowField:
                 yield (u, v), -value if value else _ZERO
 
     @cached_property
+    def out(self) -> dict[str, Fraction]:
+        """The positive out-flow at each vertex that has one; formed from
+        ``out_units`` once, on first read."""
+        return _fractions(self.out_units, self.unit)
+
+    @cached_property
     def specific(self) -> dict[str, Fraction]:
         """The specific flow at each key of ``out``; it is 0 at every other vertex.
 
@@ -233,34 +239,21 @@ def _below_sums(t: MetricTree, charges) -> dict[str, int]:
     return below
 
 
-def subtree_masses(t: MetricTree, measure: BoundaryMeasure) -> dict[str, Fraction]:
-    """Mass of the ends below each vertex, with the base as root.
-
-    One sparse post-order pass over the rooted index: each support end
-    seeds its attach vertex, and walking the preorder backwards adds a
-    vertex into its parent only where a mass exists.  So only vertices
-    with a charged subtree appear; every other vertex has subtree mass
-    0.  The flow through the edge from ``parent(y)`` into ``y`` is
-    ``plus`` minus ``minus`` of this quantity at ``y``.  The pass sums
-    the measure's integer ``units``.
-    """
-    return _fractions(_below_sums(t, measure.units.items()), measure.unit)
-
-
 def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) -> FlowField:
     """Evaluate the signed measure (plus - minus) on every edge future.
 
     The net mass ``below[y] = (plus - minus)(T_y)`` of every charged
     subtree comes from one sparse bottom-up pass (see
-    :func:`subtree_masses`); it is the flow from ``parent(y)`` into
+    :func:`_below_sums`); it is the flow from ``parent(y)`` into
     ``y``.  A vertex's positive out-flow is the sum of its children's
     positive ``below``, of ``-below[x]`` when that is positive (the edge
     toward the base) and of its ``plus`` end atoms; only the vertices
     where it is positive get a key.  All of it is summed in integers in
-    units of ``1/Q``, ``Q`` the lcm of the two measures' units, and each
-    stored ``Fraction`` is formed once as ``Fraction(n, Q)``.  Nothing
-    else is computed here: no map over every edge, end or vertex is ever
-    filled (see :class:`FlowField`).
+    units of ``1/Q``, ``Q`` the lcm of the two measures' units.  Only
+    ``below`` is stored as ``Fraction(n, Q)``; the out-flows and
+    specific flows stay integers.  Nothing else is computed here: no
+    map over every edge, end or vertex is ever filled (see
+    :class:`FlowField`).
     """
     if not check_antipodal(t, minus, plus):  # validates the tree first
         raise DomainError("measures are not antipodal (supports intersect)")
@@ -290,8 +283,8 @@ def compute_flow_field(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeas
         minus=minus,
         plus=plus,
         below=_fractions(below, unit),
-        out=_fractions(out, unit),
         unit=unit,
+        out_units=out,
         specific_units=specific,
     )
 

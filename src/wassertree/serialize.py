@@ -22,10 +22,16 @@ output is byte for byte that of ``json.dumps(obj, sort_keys=True,
 indent=2)`` plus a newline; ``tests/test_serialize.py`` checks this
 against the standard library on generated values.  Most of a report's
 bytes are lists of flat rows: dicts with the same string keys and only
-string values (``d0`` pairs, flow edges and vertices, coupling atoms,
-witnesses).  The renderer fills such a list from one ``%``-template
-built from the sorted quoted keys, one quoted value per field, and
+string values (flow edges and vertices, coupling atoms, witnesses).
+The renderer fills such a list from one ``%``-template built from the
+row layout of :func:`_row_layout`, one quoted value per field, and
 renders any other list item by item.
+
+The ``d0`` document is the one report that :func:`dumps` does not
+render: its E(E-1)/2 rows are built from E heads, E quoted ids and at
+most V tails, so :func:`d0_to_text` renders each row as ``head(a) +
+quoted(b) + tail(meet(a, b))`` from the same row layout, each end's
+head and each meet's tail rendered once, and builds no row object.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ __all__ = [
     "family_verdict_to_json",
     "monotonicity_to_json",
     "point_to_json",
+    "d0_to_text",
     "dumps",
 ]
 
@@ -127,9 +134,7 @@ def _render_rows(rows, indent: str):
     if any(type(key) is not str for key in first):
         return None
     keys = sorted(first)
-    inner = indent + "  "
-    fields = (",\n" + inner).join(_quote(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "{\n" + inner + fields + "\n" + indent + "}"
+    template = "%s".join(piece.replace("%", "%%") for piece in _row_layout(keys, indent))
     count = len(keys)
     values = itemgetter(*keys) if count > 1 else lambda row: (row[keys[0]],)
     parts = []
@@ -145,14 +150,79 @@ def _render_rows(rows, indent: str):
     return parts
 
 
+def _row_layout(keys, indent: str) -> list[str]:
+    """The literal text around the values of a flat row rendered at ``indent``.
+
+    With ``keys`` sorted as ``k1 < ... < kn``, the row renders as
+    ``pieces[0] + v1 + pieces[1] + ... + vn + pieces[n]``, each ``vi``
+    the quoted value of ``ki``: the layout ``json.dumps(sort_keys=True,
+    indent=2)`` gives a dict nested at ``indent``.
+    """
+    inner = indent + "  "
+    fields = [_quote(key) + ": " for key in sorted(keys)]
+    return ["{\n" + inner + fields[0], *(",\n" + inner + f for f in fields[1:]), "\n" + indent + "}"]
+
+
+class _Tails(dict):
+    """Each meet vertex's row tail, rendered by ``render`` on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, meet: str) -> str:
+        tail = self[meet] = self.render(meet)
+        return tail
+
+
+def d0_to_text(t: MetricTree, decimal: Optional[int] = None) -> str:
+    """The ``d0`` report: ``dumps({"pairs": rows})``, one row per pair of sorted ends.
+
+    The row of ``a < b`` holds ``a``, ``b`` and the Gromov product
+    ``(a|b)``, the depth of the two ends' meet, as ``d0`` (and as
+    ``d0_decimal`` with ``decimal`` places).  It is rendered as
+    ``head(a) + quoted(b) + tail(meet)``: the head once per source end,
+    each id quoted once, and the tail once per meet, on the first pair
+    that needs it.  One :meth:`~wassertree.tree.MetricTree.meets_with`
+    pass per source end labels every vertex with its meet.  ``t`` must
+    be valid, so it has at least two ends and the report a row.
+    """
+    keys = ["a", "b", "d0"] if decimal is None else ["a", "b", "d0", "d0_decimal"]
+    opening, after_a, *fields, close = _row_layout(keys, "    ")
+
+    def render(meet: str) -> str:
+        depth = t.depth(meet)
+        values = [format_fraction(depth)]
+        if decimal is not None:
+            values.append(decimal_string(depth, decimal))
+        return "".join(f + _quote(v) for f, v in zip(fields, values)) + close
+
+    tails = _Tails(render)
+    ends = sorted(t.ends)
+    attach = [t.ends[e] for e in ends]
+    quoted = [_quote(e) for e in ends]
+    separator = ",\n    "
+    chunks = []
+    for i in range(len(ends) - 1):
+        meets = t.meets_with(attach[i])
+        head = opening + quoted[i] + after_a
+        rows = [b + tails[meets[v]] for b, v in zip(quoted[i + 1 :], attach[i + 1 :])]
+        chunks.append(head + (separator + head).join(rows))
+    before, after = _row_layout(["pairs"], "")
+    return before + "[\n    " + separator.join(chunks) + "\n  ]" + after + "\n"
+
+
 def _expect(condition: bool, message: str):
     if not condition:
         raise ParseError(message)
 
 
 def _id(value) -> str:
-    _expect(isinstance(value, (str, int)) and not isinstance(value, bool), f"bad id {value!r}")
-    return str(value)
+    if type(value) is str:
+        return value
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        return str(value)
+    raise ParseError(f"bad id {value!r}")
 
 
 def parse_tree(data: dict) -> MetricTree:

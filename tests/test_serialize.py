@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wassertree import serialize
+from wassertree.errors import ParseError
 from wassertree.serialize import dumps
 
 # Quotes, backslashes, control characters, non-ASCII and astral
@@ -117,3 +118,26 @@ def test_rows_on_the_template_match_json_dumps():
 def test_rows_with_other_types_are_refused(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "bad id True"), (None, "bad id None"), (1.5, "bad id 1.5"), (["v0"], "bad id ['v0']")],
+)
+def test_bad_ids_are_parse_errors_with_their_value(value, message):
+    with pytest.raises(ParseError) as caught:
+        serialize._id(value)
+    assert str(caught.value) == message
+    tree = {"vertices": ["v0"], "base": "v0", "edges": [], "ends": [{"id": value, "attach": "v0"}]}
+    with pytest.raises(ParseError) as caught:
+        serialize.parse_tree(tree)
+    assert str(caught.value) == message
+
+
+def test_ids_are_strings():
+    assert serialize._id("v0") == "v0"
+    assert serialize._id(7) == "7" and serialize._id(-3) == "-3"
+    tree = serialize.parse_tree(
+        {"vertices": [0], "base": 0, "edges": [], "ends": [{"id": 1, "attach": 0}, {"id": "B", "attach": 0}]}
+    )
+    assert tree.vertices == ("0",) and tree.base == "0" and tree.ends == {"1": "0", "B": "0"}

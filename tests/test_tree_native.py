@@ -241,6 +241,12 @@ def test_no_cost_table_and_one_flow_field_per_decide(monkeypatch, tmp_path):
     assert cli.main(["check-monotone", "--input", crossed, "--output", out]) == 0
 
 
+def test_decide_leaves_out_and_specific_unformed():
+    for t, minus, plus in _random_instances(seed=4713, count=10):
+        ff = decide(t, minus, plus).flow_field
+        assert "out" not in ff.__dict__ and "specific" not in ff.__dict__
+
+
 def test_closed_form_rejects_overlapping_supports(caterpillar):
     minus = BoundaryMeasure({"A": 1})
     with pytest.raises(DomainError):

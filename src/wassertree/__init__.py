@@ -7,11 +7,6 @@ that geodesic explicitly: edge flows, the Gromov-product transport
 problem solved from those flows in exact rational arithmetic, canonical
 lifts, and a certificate of unit speed.
 
-The paper's further statements about plans and flows (flow bounds, the
-time function, level snapshots, uncrossing, the point metric) are
-checkable functions of :mod:`wassertree.theory`, which the decision
-path does not import; import them from there.
-
 Everything is computed over `fractions.Fraction`; no floating point
 enters any decision.
 """
@@ -23,13 +18,11 @@ from .errors import (
     StructureError,
     WassertreeError,
 )
-from .rationals import INFINITY, format_fraction, parse_fraction
+from .rationals import format_fraction, parse_fraction
 from .tree import (
     MetricTree,
     TreePoint,
     ValidationReport,
-    canonicalize,
-    gromov_product,
     validate_tree,
 )
 from .flows import (
@@ -51,9 +44,7 @@ from .dynamics import (
     GeodesicReport,
     PlanAtom,
     Snapshot,
-    antagonist_pairs,
     lift,
-    snapshot,
     snapshots,
     verify_geodesic,
 )
@@ -75,15 +66,12 @@ __all__ = [
     "DomainError",
     "OversizeError",
     "ParseError",
-    "INFINITY",
     "parse_fraction",
     "format_fraction",
     "MetricTree",
     "TreePoint",
     "ValidationReport",
     "validate_tree",
-    "canonicalize",
-    "gromov_product",
     "BoundaryMeasure",
     "FlowField",
     "check_antipodal",
@@ -99,8 +87,6 @@ __all__ = [
     "Snapshot",
     "GeodesicReport",
     "lift",
-    "antagonist_pairs",
-    "snapshot",
     "snapshots",
     "verify_geodesic",
     "RealizabilityReport",

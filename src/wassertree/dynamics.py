@@ -11,15 +11,13 @@ puts each atom at time 0 on the point of its geodesic nearest the base
 vertex, the meet; a rational ``time_offset`` shifts an individual atom
 along its own line.
 
-The module provides the lift of a coupling, antagonism detection,
-snapshots of a plan at any rational time, and a verifier that
+The module provides the lift of a coupling, snapshots of a plan at any
+rational time, and a verifier that detects antagonist pairs and
 certifies unit speed in the quadratic Wasserstein metric by two
 closed-form bounds, with no transport problem solved and nothing read
 beyond the atoms' paths.  The verifier takes the flow field of the
 plan's marginals from the caller and refuses one built from other
-measures, and picks default sample times from the same walks.  The
-flow bounds, the time function and the level snapshots that the tests
-check these against live in :mod:`wassertree.theory`.
+measures, and picks default sample times from the same walks.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import DomainError
 from .flows import FlowField
@@ -41,8 +39,6 @@ __all__ = [
     "Snapshot",
     "GeodesicReport",
     "lift",
-    "antagonist_pairs",
-    "snapshot",
     "snapshots",
     "verify_geodesic",
 ]
@@ -83,10 +79,6 @@ class PlanAtom:
         """``(steps, meet)`` of the atom's path, as :meth:`MetricTree.path` gives them."""
         return t.path(*_attaches(t, self.source, self.target))
 
-    def position(self, time: Fraction, t: MetricTree) -> TreePoint:
-        verts, coords, _ = self.geodesic(t)
-        return self._locate(verts, coords, time)
-
     def _locate(self, verts, coords, time: Fraction) -> TreePoint:
         """The atom's point at ``time`` on its geodesic ``verts``, ``coords``."""
         c = time + self.time_offset
@@ -101,9 +93,6 @@ class PlanAtom:
 @dataclass(frozen=True)
 class DynamicalPlan:
     atoms: tuple[PlanAtom, ...]
-
-    def total_mass(self) -> Fraction:
-        return sum((a.mass for a in self.atoms), Fraction(0))
 
 
 def _attaches(t: MetricTree, a: str, b: str) -> tuple[str, str]:
@@ -140,52 +129,25 @@ def lift(pi: Coupling, t: MetricTree) -> DynamicalPlan:
     return DynamicalPlan(atoms=tuple(atoms))
 
 
-def antagonist_pairs(plan: DynamicalPlan, t: MetricTree):
-    """All atom pairs traversing some edge in opposite orientations.
+def _antagonists(t: MetricTree, paths):
+    """Every pair of atoms traversing some edge in opposite orientations.
 
-    The witness is ``("edge", (u, v))`` for a finite edge or
-    ``("ray", end_id)`` when one atom enters through the end the other
-    leaves by (impossible for plans over antipodal measures).  Pairs
-    come as ``(i, j, witness)`` with ``i < j``, in increasing order; an
-    edge witness is the smallest shared edge ``(u, v)``, ``u < v``, and
-    a ray witness names atom i's source before its target.
-
-    Each atom's path is read as ``(child, sign)`` steps
-    (:meth:`~wassertree.tree.MetricTree.path`), the sign telling
-    whether the atom climbs from the child or descends into it, and one
-    index of the steps (the one behind
-    :func:`~wassertree.transport.is_cyclically_monotone`) lists every
-    pair sharing a child with opposite signs; two more indices, of the
-    atoms by source and by target end, list the ray pairs.  So the work
-    is linear in the atoms' paths plus the number of pairs reported.
+    ``paths[i]`` lists atom i's ``(child, sign)`` steps.  Pairs come as
+    ``(i, j, ("edge", (u, v)))`` with ``i < j``, in increasing order,
+    ``(u, v)``, ``u < v``, the smallest edge the two share.  One index
+    of the steps (the one behind
+    :func:`~wassertree.transport.is_cyclically_monotone`) lists them, so
+    the work is linear in the atoms' paths plus the pairs reported.
+    Two atoms can also meet head-on on a ray, when one enters through
+    the end the other leaves by, but not in a plan over antipodal
+    measures, the only plans :func:`verify_geodesic` checks.
     """
-    return _antagonists(t, plan.atoms, [a._path(t)[0] for a in plan.atoms])
-
-
-def _antagonists(t: MetricTree, atoms: Sequence[PlanAtom], paths):
-    """:func:`antagonist_pairs` of ``atoms``, whose path steps are ``paths``."""
     parent = t._root().parent
-    by_source: dict[str, list[int]] = {}
-    by_target: dict[str, list[int]] = {}
-    for j, a in enumerate(atoms):
-        by_source.setdefault(a.source, []).append(j)
-        by_target.setdefault(a.target, []).append(j)
-    results = []
-    for i, shared in _crossings(paths):
-        ai = atoms[i]
-        partners = set(shared)
-        for j in (*by_target.get(ai.source, ()), *by_source.get(ai.target, ())):
-            if j > i:
-                partners.add(j)
-        for j in sorted(partners):
-            if j in shared:
-                edge = min(_edge_key(y, parent[y]) for y in shared[j])
-                results.append((i, j, ("edge", edge)))
-            elif ai.source == atoms[j].target:
-                results.append((i, j, ("ray", ai.source)))
-            else:
-                results.append((i, j, ("ray", ai.target)))
-    return results
+    return [
+        (i, j, ("edge", min(_edge_key(y, parent[y]) for y in shared[j])))
+        for i, shared in _crossings(paths)
+        for j in sorted(shared)
+    ]
 
 
 def _require_marginals(plan: DynamicalPlan, ff: FlowField) -> None:
@@ -208,9 +170,6 @@ class Snapshot:
     time: Fraction
     atoms: Mapping[TreePoint, Fraction]
 
-    def total_mass(self) -> Fraction:
-        return sum(self.atoms.values(), Fraction(0))
-
 
 def snapshots(plan: DynamicalPlan, times, t: MetricTree, geodesics=None) -> list[Snapshot]:
     """The plan at each of ``times``: ints, ``Fraction``s or ``"p/q"`` strings, never floats.
@@ -231,11 +190,6 @@ def snapshots(plan: DynamicalPlan, times, t: MetricTree, geodesics=None) -> list
             p = a._locate(verts, coords, time)
             atoms[p] = atoms.get(p, _ZERO) + a.mass
     return [Snapshot(time=time, atoms=atoms) for time, atoms in zip(times, merged)]
-
-
-def snapshot(plan: DynamicalPlan, time, t: MetricTree) -> Snapshot:
-    """The plan at one ``time``: :func:`snapshots` of a single time."""
-    return snapshots(plan, [time], t)[0]
 
 
 @dataclass(frozen=True)
@@ -304,7 +258,7 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times=None) -> Ge
     bisects its coords once per sample time.  No time function over the
     tree, no position and no tree point is built, and no flow off the
     atoms' paths is read, so the check costs time linear in the atoms'
-    paths, and (a) is linear in them too (see :func:`antagonist_pairs`).
+    paths, and (a) is linear in them too (see :func:`_antagonists`).
     Each speed check is ``(r, s, value, expected, ok)`` with ``value``
     the lower bound, ``expected = (s - r)^2`` and ``ok`` telling whether
     the bounds meet, i.e. whether unit speed is certified.  When they do
@@ -321,7 +275,7 @@ def verify_geodesic(plan: DynamicalPlan, ff: FlowField, sample_times=None) -> Ge
     t = ff.tree
     _require_marginals(plan, ff)
     paths = [a._path(t) for a in plan.atoms]
-    pairs = _antagonists(t, plan.atoms, [steps for steps, _ in paths])
+    pairs = _antagonists(t, [steps for steps, _ in paths])
     parent, below = t._root().parent, ff.below
     if sample_times is None:
         depth, ends = t._root().depth, t.ends

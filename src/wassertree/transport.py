@@ -18,8 +18,7 @@ Cyclical monotonicity reduces to antagonism: a coupling is monotone
 exactly when no two of its pairs traverse an edge in opposite
 directions, and any two that do form a strictly violating 2-cycle
 (:func:`is_cyclically_monotone`, one scan over the pairs' paths, exact
-for every support size).  The uncrossing rewrite that removes such
-opposite traversals lives in :mod:`wassertree.theory`.
+for every support size).
 
 Both routes walk a pair's path once, with
 :meth:`~wassertree.tree.MetricTree.path`.  No route here builds a cost
@@ -224,14 +223,12 @@ class MonotonicityResult:
     """Verdict of :func:`is_cyclically_monotone`.
 
     ``witness`` is the violating cycle of support atoms (None when
-    monotone).  ``exhaustive`` tells whether every cycle was covered;
-    the antagonism scan always covers them, and the field stays so the
-    report keeps its shape.
+    monotone).  The antagonism scan covers every cycle, so the verdict
+    is always exhaustive.
     """
 
     monotone: bool
     witness: Optional[tuple[tuple[str, str], ...]]
-    exhaustive: bool
 
     def __bool__(self):
         return self.monotone
@@ -248,8 +245,7 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     lexicographically first pair ``i < j`` of the sorted support whose
     steps share a child with opposite signs; the witness is
     ``(support[i], support[j])``.  With no such pair the coupling is
-    monotone.  The verdict is exact for every support size, so
-    ``exhaustive`` is always True.
+    monotone.  The verdict is exact for every support size.
 
     Every such pair is a strictly violating 2-cycle.  Say ``(a, b)``
     descends the edge ``p -> y`` (base as root) and ``(c, d)`` climbs
@@ -273,8 +269,8 @@ def is_cyclically_monotone(pi: Coupling, t: MetricTree) -> MonotonicityResult:
     paths = [t.path(t.attach(a), t.attach(b))[0] for a, b in support]
     for i, shared in _crossings(paths):
         if shared:
-            return MonotonicityResult(False, (support[i], support[min(shared)]), True)
-    return MonotonicityResult(True, None, True)
+            return MonotonicityResult(False, (support[i], support[min(shared)]))
+    return MonotonicityResult(True, None)
 
 
 def _crossings(paths):

@@ -6,11 +6,9 @@ infinite leaf-edge hanging off an attach vertex.  A distinguished base
 vertex serves as the origin for all Gromov-product and flow
 computations.
 
-Canonical form requires every vertex to have degree 1 or at least 3;
-degree-2 vertices are removed by :func:`canonicalize`, which merges
-their incident edges without changing the underlying metric space.  The
-single allowed exception is a degree-2 base vertex, which is kept (the
-base must remain a vertex) and reported as a warning.
+Canonical form requires every vertex to have degree 1 or at least 3.
+The single allowed exception is a degree-2 base vertex, which is kept
+(the base must remain a vertex) and reported as a warning.
 
 All values are immutable after construction and every operation is a
 pure function of its inputs, so instances can be shared freely across
@@ -27,15 +25,13 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError, StructureError
-from .rationals import INFINITY, parse_fraction
+from .rationals import parse_fraction
 
 __all__ = [
     "MetricTree",
     "TreePoint",
     "ValidationReport",
     "validate_tree",
-    "canonicalize",
-    "gromov_product",
 ]
 
 
@@ -98,9 +94,6 @@ class MetricTree:
 
     # -- structure ---------------------------------------------------------
 
-    def degree(self, v: str) -> int:
-        return len(self.adjacency[v]) + len(self.vertex_ends[v])
-
     def attach(self, end_id: str) -> str:
         try:
             return self.ends[end_id]
@@ -117,10 +110,6 @@ class MetricTree:
         if not report.valid:
             raise StructureError("; ".join(report.violations))
 
-    @property
-    def base_is_degree_two(self) -> bool:
-        return self.base in self._vertex_set and self.degree(self.base) == 2
-
     # -- rooted structure (base as root) -----------------------------------
 
     def _root(self) -> "RootedIndex":
@@ -128,9 +117,6 @@ class MetricTree:
             self.require_valid()
             self._rooted = _build_index(self._walk)
         return self._rooted
-
-    def parent(self, v: str) -> Optional[str]:
-        return self._root().parent[v]
 
     def depth(self, v: str) -> Fraction:
         """Exact distance from the base vertex."""
@@ -157,15 +143,6 @@ class MetricTree:
                 v = parent[v]
         steps.extend(reversed(down))
         return steps, u
-
-    def vertex_path(self, u: str, v: str) -> tuple[str, ...]:
-        """The unique vertex chain from ``u`` to ``v``."""
-        steps, meet = self.path(u, v)
-        return tuple([y for y, sign in steps if sign < 0] + [meet] + [y for y, sign in steps if sign > 0])
-
-    def meet(self, u: str, v: str) -> str:
-        """Lowest common ancestor of two vertices with the base as root."""
-        return self.path(u, v)[1]
 
     def meets_with(self, v: str) -> dict[str, str]:
         """``meet(v, w)`` for every vertex ``w``, in one pass over the tree.
@@ -209,10 +186,6 @@ class RootedIndex(NamedTuple):
     order: tuple[str, ...]
     pos: dict[str, int]
     stop: dict[str, int]
-
-    def below(self, w: str, v: str) -> bool:
-        """True iff vertex ``w`` lies in the subtree rooted at ``v``."""
-        return self.pos[v] <= self.pos[w] < self.stop[v]
 
 
 class _Depths(dict):
@@ -294,14 +267,11 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def _structural_violations(t: MetricTree) -> tuple[list[str], Optional[_Walk]]:
-    """Ids, edges, connectivity, acyclicity and at least two ends.
+def _validate(t: MetricTree) -> tuple[ValidationReport, Optional[_Walk]]:
+    """Every violation and warning of ``t``, and the connectivity walk from the base.
 
-    Everything a tree needs except canonical degrees, so it also serves
-    :func:`canonicalize`, whose inputs have degree-2 vertices.  Returns
-    the violations and the connectivity walk from the base, which the
-    rooted index reuses (``None`` when the ids or edges are faulty and
-    the walk did not run).
+    The rooted index reuses the walk; it is ``None`` when the ids or
+    edges are faulty and the walk did not run.
     """
     violations: list[str] = []
 
@@ -330,7 +300,7 @@ def _structural_violations(t: MetricTree) -> tuple[list[str], Optional[_Walk]]:
         seen_pairs.add((u, v))
 
     if violations:
-        return violations, None
+        return ValidationReport(False, tuple(violations), ()), None
 
     # Connectivity and acyclicity of the finite part (ends are leaves and
     # cannot close a cycle).  The base is a vertex, so the walk can start
@@ -340,14 +310,9 @@ def _structural_violations(t: MetricTree) -> tuple[list[str], Optional[_Walk]]:
         violations.append("not connected")
     elif len(t.edges) != len(t.vertices) - 1:
         violations.append("not acyclic")
-
     if len(t.ends) < 2:
         violations.append("fewer than 2 ends")
-    return violations, walk
 
-
-def _validate(t: MetricTree) -> tuple[ValidationReport, Optional[_Walk]]:
-    violations, walk = _structural_violations(t)
     warnings: list[str] = []
     if not violations:
         # A connected tree of two or more vertices has no isolated one.
@@ -365,57 +330,6 @@ def _validate(t: MetricTree) -> tuple[ValidationReport, Optional[_Walk]]:
 def validate_tree(t: MetricTree) -> ValidationReport:
     """Check every structural invariant and report each violation."""
     return t.validation_report()
-
-
-def canonicalize(t: MetricTree) -> MetricTree:
-    """Suppress degree-2 vertices, summing the lengths of merged edges.
-
-    The metric space is unchanged.  A degree-2 base vertex is retained
-    (the base must stay a vertex); ``validate_tree`` flags it with a
-    warning afterwards.  Every violation ``validate_tree`` reports other
-    than a degree-2 vertex is a :class:`StructureError` here too.
-    """
-    violations, _ = _structural_violations(t)
-    if violations:
-        raise StructureError("; ".join(violations))
-    adjacency = {v: dict(t.adjacency[v]) for v in t.vertices}
-    end_attach = dict(t.ends)
-    ends_at = {v: list(t.vertex_ends[v]) for v in t.vertices}
-
-    # Suppressing a vertex leaves every other degree unchanged (its
-    # neighbours trade it for each other, or for its end), so the
-    # vertices to suppress are known up front: one pass removes them all.
-    # The graph is connected, so a non-base vertex of degree 2 has two
-    # neighbours, or one neighbour and one end.
-    worklist = [v for v in t.vertices if v != t.base and t.degree(v) == 2]
-    for v in worklist:
-        neighbors = sorted(adjacency[v])
-        if len(neighbors) == 2:
-            a, b = neighbors
-            length = adjacency[v][a] + adjacency[v][b]
-            del adjacency[a][v]
-            del adjacency[b][v]
-            adjacency[a][b] = length
-            adjacency[b][a] = length
-        else:
-            (a,), (end_id,) = neighbors, ends_at[v]
-            del adjacency[a][v]
-            end_attach[end_id] = a
-            ends_at[a].append(end_id)
-        del adjacency[v]
-        del ends_at[v]
-
-    new_edges = []
-    for u in adjacency:
-        for v, length in adjacency[u].items():
-            if u < v:
-                new_edges.append((u, v, length))
-    return MetricTree(
-        vertices=adjacency.keys(),
-        edges=new_edges,
-        ends=end_attach.items(),
-        base=t.base,
-    )
 
 
 # -- points -----------------------------------------------------------------
@@ -470,16 +384,3 @@ class TreePoint:
             self.offset if self.offset is not None else Fraction(0),
         )
 
-
-def gromov_product(t: MetricTree, a: str, b: str):
-    """Distance from the base to the geodesic joining ends ``a`` and ``b``.
-
-    Returns the INFINITY sentinel when ``a == b``; the sentinel supports
-    no arithmetic and must be handled explicitly by callers.
-    """
-    if a == b:
-        if a not in t.ends:
-            raise DomainError(f"unknown end {a!r}")
-        return INFINITY
-    va, vb = t.attach(a), t.attach(b)
-    return t.depth(t.meet(va, vb))

@@ -1,11 +1,12 @@
-"""Seeded random instance generators shared by the test modules."""
+"""Seeded random instance generators shared by the test modules, and
+the renderers that write their instances in the input file format."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from wassertree import BoundaryMeasure, Coupling, MetricTree
+from wassertree import BoundaryMeasure, Coupling, MetricTree, format_fraction
 
 
 def random_tree(
@@ -66,8 +67,8 @@ def random_vertex_coupling(
     cols = sorted(plus.support)
     rng.shuffle(rows)
     rng.shuffle(cols)
-    supply = {a: minus.mass(a) for a in rows}
-    demand = {b: plus.mass(b) for b in cols}
+    supply = {a: minus.atoms[a] for a in rows}
+    demand = {b: plus.atoms[b] for b in cols}
     atoms = {}
     i = j = 0
     while i < len(rows) and j < len(cols):
@@ -99,3 +100,23 @@ def random_coupling(
     for pair, mass in second.atoms.items():
         atoms[pair] = atoms.get(pair, Fraction(0)) + (1 - w) * mass
     return Coupling(atoms)
+
+
+def tree_to_json(t: MetricTree) -> dict:
+    """The tree as the top level of an instance file."""
+    return {
+        "vertices": list(t.vertices),
+        "base": t.base,
+        "edges": [
+            {"u": u, "v": v, "len": format_fraction(length)} for u, v, length in t.edges
+        ],
+        "ends": [{"id": e, "attach": a} for e, a in sorted(t.ends.items())],
+    }
+
+
+def measures_to_json(minus: BoundaryMeasure, plus: BoundaryMeasure) -> dict:
+    """The two measures as an instance file's ``"measures"`` section."""
+    return {
+        "minus": {e: format_fraction(m) for e, m in sorted(minus.atoms.items())},
+        "plus": {e: format_fraction(m) for e, m in sorted(plus.atoms.items())},
+    }

@@ -41,7 +41,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 sys.path.insert(0, str(HERE.parent))
 
-from gen import random_coupling, random_measures, random_tree  # noqa: E402
+from gen import measures_to_json, random_coupling, random_measures, random_tree, tree_to_json  # noqa: E402
 
 from wassertree import cli, serialize  # noqa: E402
 from wassertree.realizability import spine_truncation  # noqa: E402
@@ -77,8 +77,8 @@ def run(command: str, path: Path, extra: list) -> tuple[int, str]:
 
 def instance_json(t, minus, plus, coupling) -> dict:
     return {
-        **serialize.tree_to_json(t),
-        "measures": serialize.measures_to_json(minus, plus),
+        **tree_to_json(t),
+        "measures": measures_to_json(minus, plus),
         "coupling": serialize.coupling_to_json(coupling),
     }
 
@@ -134,7 +134,7 @@ def deep_instances() -> list[tuple[str, dict]]:
         t = random_tree(rng, max_internal=n, extra_ends=40, min_internal=n)
         instances.append((f"deep_tree_{idx}", (t, *random_measures(rng, t, max_side=30))))
     return [
-        (name, {**serialize.tree_to_json(t), "measures": serialize.measures_to_json(minus, plus)})
+        (name, {**tree_to_json(t), "measures": measures_to_json(minus, plus)})
         for name, (t, minus, plus) in instances
     ]
 

@@ -2,9 +2,10 @@
 
 :func:`antagonist_pairs` compares every pair of atoms: the oriented
 edges one atom's path shares reversed with the other's, and failing
-that the two ray cases.  It costs time quadratic in the atoms and
-exists only to be compared with ``dynamics.antagonist_pairs`` by exact
-equality.
+that the two ray cases, which no plan over antipodal measures has.  It
+costs time quadratic in the atoms and exists only to be compared by
+exact equality with the antagonists ``dynamics.verify_geodesic``
+reports.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 :func:`verify_geodesic` builds the piecewise-isometric time function of
 the flow field on every vertex (``build_time_function``), places each
-atom at every sample time (``PlanAtom.position``) and reads tau there
+atom at every sample time (``theory.position``) and reads tau there
 (``TimeFunction.at_point``).  It is the route that
 ``dynamics.verify_geodesic`` replaced by integrating each atom's slopes
 along its own path, kept to be compared with it by exact equality.
@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from wassertree.dynamics import GeodesicReport, _require_marginals
 from wassertree.errors import DomainError
-from wassertree.theory import build_time_function
 
 from .antagonism import antagonist_pairs
 from .rooted import vertex_path
+from .theory import build_time_function, position
 
 
 def verify_geodesic(plan, ff, sample_times) -> GeodesicReport:
@@ -42,7 +42,7 @@ def verify_geodesic(plan, ff, sample_times) -> GeodesicReport:
 
     tf = build_time_function(t, ff)
     mean_tau = {
-        r: sum((a.mass * tf.at_point(t, a.position(r, t)) for a in plan.atoms), Fraction(0))
+        r: sum((a.mass * tf.at_point(t, position(a, r, t)) for a in plan.atoms), Fraction(0))
         for r in times
     }
     speed_checks = []

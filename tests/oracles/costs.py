@@ -23,10 +23,9 @@ from typing import Mapping
 from wassertree import BoundaryMeasure, Coupling, MetricTree, Snapshot, TreePoint
 from wassertree.errors import DomainError, OversizeError
 from wassertree.flows import check_antipodal
-from wassertree.theory import dist
-from wassertree.tree import gromov_product
-
 from .lp import min_cost_transport_value, solve_transportation
+from .rooted import gromov
+from .theory import dist
 
 # The shortest-paths oracle exists to cross-check, not to scale.
 ORACLE_SUPPORT_CAP = 7
@@ -53,7 +52,7 @@ def cost_matrix(t: MetricTree, minus: BoundaryMeasure, plus: BoundaryMeasure) ->
     values = {}
     for a in rows:
         for b in cols:
-            g = gromov_product(t, a, b)
+            g = gromov(t, a, b)
             values[(a, b)] = -g * g
     return CostMatrix(rows=rows, cols=cols, values=values)
 
@@ -76,8 +75,8 @@ def brute_force_value(
         raise OversizeError(
             f"oracle refuses supports larger than {ORACLE_SUPPORT_CAP} per side"
         )
-    supplies = [minus.mass(a) for a in cm.rows]
-    demands = [plus.mass(b) for b in cm.cols]
+    supplies = [minus.atoms[a] for a in cm.rows]
+    demands = [plus.atoms[b] for b in cm.cols]
     costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
     return min_cost_transport_value(costs, supplies, demands)
 

@@ -10,10 +10,12 @@ only to be compared with the library's scan by exact equality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Optional
 
-from wassertree.transport import Coupling, MonotonicityResult
+from wassertree.transport import Coupling
 
 from .costs import CostMatrix
 
@@ -24,7 +26,17 @@ CYCLE_SUPPORT_CAP = 8
 PARTIAL_CYCLE_LENGTH = 4
 
 
-def is_cyclically_monotone(pi, cost) -> MonotonicityResult:
+@dataclass(frozen=True)
+class CycleVerdict:
+    """``witness`` is the violating cycle (None when none was found);
+    ``exhaustive`` tells whether every cycle was enumerated."""
+
+    monotone: bool
+    witness: Optional[tuple]
+    exhaustive: bool
+
+
+def is_cyclically_monotone(pi, cost) -> CycleVerdict:
     """Test cyclical monotonicity of a plan's support for a given cost.
 
     For every cycle of support atoms the diagonal cost sum must not
@@ -68,5 +80,5 @@ def is_cyclically_monotone(pi, cost) -> MonotonicityResult:
                         break
                     shifted += lookup[(a, b_next)]
                 if ok and kept > shifted:
-                    return MonotonicityResult(False, cycle, exhaustive)
-    return MonotonicityResult(True, None, exhaustive)
+                    return CycleVerdict(False, cycle, exhaustive)
+    return CycleVerdict(True, None, exhaustive)

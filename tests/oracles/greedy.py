@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from wassertree.errors import DomainError
 from wassertree.transport import Coupling
-from wassertree.tree import gromov_product
+
+from .rooted import gromov
 
 
 def _path_steps(t, u, v):
@@ -66,6 +67,6 @@ def solve_optimal_coupling(ff, walks=None):
     coupling = Coupling(atoms)
     value = Fraction(0)
     for (a, b), m in coupling.atoms.items():
-        g = gromov_product(t, a, b)
+        g = gromov(t, a, b)
         value -= m * g * g
     return coupling, value

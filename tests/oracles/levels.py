@@ -3,7 +3,7 @@
 :func:`vertex_time` propagates times from the base by a depth-first
 search over ``t.adjacency``, reading each edge's flow with
 ``FlowField.flow``; :func:`tie_components` grows each neutral component
-by the same search.  ``wassertree.theory`` now reads both from one pass
+by the same search.  ``oracles.theory`` now reads both from one pass
 over the rooted preorder; these are kept to be compared with it by
 exact equality.
 """

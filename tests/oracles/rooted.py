@@ -9,7 +9,9 @@ shares nothing with ``MetricTree``'s rooted index:
   summing over those frozensets, and derives the vertex flows from the
   oriented edge flows;
 * :func:`subtree_masses` walks from each support end up to the base;
-* :func:`meet` and :func:`vertex_path` climb by comparing depths;
+* :func:`meet` and :func:`vertex_path` climb by comparing depths, and
+  :func:`gromov` reads the Gromov product of two ends as the depth of
+  their meet;
 * :func:`canonicalize` restarts a sorted scan after every suppression.
 
 They are slow (the flow field is cubic on a spine) and exist only to be
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from wassertree.errors import StructureError
-from wassertree.tree import MetricTree
+from wassertree.tree import MetricTree, validate_tree
 
 
 @lru_cache(maxsize=64)
@@ -66,6 +68,11 @@ def meet(t: MetricTree, u: str, v: str) -> str:
     return a
 
 
+def gromov(t: MetricTree, a: str, b: str) -> Fraction:
+    """(a|b): the distance from the base to the geodesic joining two distinct ends."""
+    return rooting(t)[1][meet(t, t.attach(a), t.attach(b))]
+
+
 def vertex_path(t: MetricTree, u: str, v: str) -> tuple:
     parent, depth = rooting(t)
     up, down = [], []
@@ -97,7 +104,7 @@ def flow_field(t: MetricTree, minus, plus) -> dict:
     sets = end_sets(t)
 
     def net(ends):
-        return plus.mass_of(ends) - minus.mass_of(ends)
+        return sum((plus.atoms.get(e, 0) - minus.atoms.get(e, 0) for e in ends), Fraction(0))
 
     edge_flow, classification = {}, {}
     for u, v, _length in t.edges:
@@ -147,7 +154,15 @@ def second_moment(t: MetricTree, specific_flow) -> Fraction:
 
 
 def canonicalize(t: MetricTree) -> MetricTree:
-    """Suppress degree-2 vertices, rescanning from the start after each."""
+    """Suppress degree-2 vertices, rescanning from the start after each.
+
+    The metric space is unchanged, and a degree-2 base is kept.  Every
+    violation ``validate_tree`` reports other than a degree-2 vertex is
+    a :class:`StructureError` here too.
+    """
+    structural = [v for v in validate_tree(t).violations if not v.endswith("(degree 2)")]
+    if structural:
+        raise StructureError("; ".join(structural))
     adjacency = {v: dict() for v in t.vertices}
     for u, v, length in t.edges:
         adjacency[u][v] = length

@@ -2,7 +2,7 @@
 
 :func:`spine_truncation` builds the raw spine of K levels (vertices
 u0..uK, the edge of level k joining u{k-1} to u{k}, S_k on u{k-1} and
-T_k on u{k}) and hands it to :func:`~wassertree.tree.canonicalize`,
+T_k on u{k}) and hands it to :func:`oracles.rooted.canonicalize`,
 which checks it and merges the degree-2 vertex u_K into T_K's ray.  It
 is kept to be compared with
 :func:`wassertree.realizability.spine_truncation` field by field.
@@ -15,7 +15,9 @@ from typing import Sequence
 
 from wassertree.errors import StructureError
 from wassertree.flows import BoundaryMeasure
-from wassertree.tree import MetricTree, canonicalize
+from wassertree.tree import MetricTree
+
+from .rooted import canonicalize
 
 
 def spine_truncation(masses: Sequence[Fraction], lengths: Sequence[Fraction]):

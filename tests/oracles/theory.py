@@ -2,9 +2,10 @@
 
 The decision path (:func:`~wassertree.realizability.decide`,
 :func:`~wassertree.realizability.family_analyze` and the CLI) reaches
-every number it reports from the edge flows and never imports this
-module.  What lives here is the rest of the theory, each group written
-so that a test can compare it with the decision path by exact equality:
+every number it reports from the edge flows, so none of this is part of
+the package.  What lives here is the rest of the theory, each group
+written so that a test can compare it with the decision path by exact
+equality:
 
 * **Flow bounds and the antagonism dichotomy.**
   :func:`plan_edge_and_vertex_masses` counts the mass a plan carries
@@ -21,7 +22,7 @@ so that a test can compare it with the decision path by exact equality:
 * **Level snapshots.** :func:`flow_level_snapshot` reads the measure at
   one time level straight from the flow field, with the neutral
   components that tie at that level; an aligned plan's
-  :func:`~wassertree.dynamics.snapshot` must equal it.
+  :func:`~wassertree.dynamics.snapshots` must equal it.
 * **Uncrossing.** :func:`uncross` removes opposite traversals edge by
   edge without increasing the transport objective.
 * **The point metric.** :func:`dist` is the exact distance between two
@@ -30,7 +31,8 @@ so that a test can compare it with the decision path by exact equality:
   beyond an oriented edge, the sets every flow is a mass of.
 
 :func:`with_offsets`, :func:`reverse_plan` and :func:`plan_coupling`
-build and project the plans these statements are checked on.
+build and project the plans these statements are checked on, and
+:func:`position` places one atom at one time.
 """
 
 from __future__ import annotations
@@ -39,17 +41,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .dynamics import (
-    DynamicalPlan,
-    PlanAtom,
-    Snapshot,
-    _require_marginals,
-    antagonist_pairs,
-)
-from .errors import DomainError
-from .flows import NEGATIVE, POSITIVE, FlowField, flow_class
-from .transport import Coupling
-from .tree import MetricTree, TreePoint, _edge_key
+from wassertree.dynamics import DynamicalPlan, PlanAtom, Snapshot, _require_marginals
+from wassertree.errors import DomainError
+from wassertree.flows import NEGATIVE, POSITIVE, FlowField, flow_class
+from wassertree.transport import Coupling
+from wassertree.tree import MetricTree, TreePoint, _edge_key
+
+from .antagonism import antagonist_pairs
+from .rooted import meet
 
 __all__ = [
     "FlowBoundsReport",
@@ -63,6 +62,7 @@ __all__ = [
     "with_offsets",
     "reverse_plan",
     "plan_coupling",
+    "position",
     "second_moment",
     "uncross",
     "future_ends",
@@ -91,6 +91,12 @@ def plan_coupling(plan: DynamicalPlan) -> Coupling:
         key = (a.source, a.target)
         atoms[key] = atoms.get(key, Fraction(0)) + a.mass
     return Coupling(atoms)
+
+
+def position(a: PlanAtom, time: Fraction, t: MetricTree) -> TreePoint:
+    """The point of atom ``a`` at ``time``, read from its geodesic alone."""
+    verts, coords, _ = a.geodesic(t)
+    return a._locate(verts, coords, time)
 
 
 def reverse_plan(plan: DynamicalPlan) -> DynamicalPlan:
@@ -167,8 +173,8 @@ def check_flow_bounds(plan: DynamicalPlan, ff: FlowField) -> FlowBoundsReport:
     for end_id in sorted(t.ends):
         attach = t.attach(end_id)
         outward = ff.flow(attach, end_id)
-        edges.append(((attach, end_id), ff.plus.mass(end_id), outward))
-        edges.append(((end_id, attach), ff.minus.mass(end_id), -outward))
+        edges.append(((attach, end_id), ff.plus.atoms.get(end_id, _ZERO), outward))
+        edges.append(((end_id, attach), ff.minus.atoms.get(end_id, _ZERO), -outward))
     vertices = [(x, vertex_mass.get(x, Fraction(0)), ff.out.get(x, Fraction(0))) for x in t.vertices]
 
     def departures(sites):
@@ -354,7 +360,10 @@ def uncross(pi: Coupling, t: MetricTree) -> Coupling:
         raise DomainError("coupling marginals are not antipodal")
 
     index = t._root()
-    parent = index.parent
+    parent, pos, stop = index.parent, index.pos, index.stop
+
+    def below(w, v):
+        return pos[v] <= pos[w] < stop[v]
 
     def order_key(edge):
         u, v, length = edge
@@ -368,8 +377,8 @@ def uncross(pi: Coupling, t: MetricTree) -> Coupling:
         backward = []
         for pair in sorted(atoms):
             a, b = pair
-            a_in = index.below(t.attach(a), child)
-            b_in = index.below(t.attach(b), child)
+            a_in = below(t.attach(a), child)
+            b_in = below(t.attach(b), child)
             if a_in == b_in:
                 continue
             (forward if b_in else backward).append(pair)
@@ -421,7 +430,7 @@ def future_ends(t: MetricTree, tail: str, head: str) -> frozenset[str]:
         return frozenset(ends) - {tail}
     if _edge_key(tail, head) not in t.edge_length:
         raise DomainError(f"no edge between {tail!r} and {head!r}")
-    if t.parent(head) == tail:
+    if t._root().parent[head] == tail:
         return _subtree_ends(t, head)
     return frozenset(t.ends) - _subtree_ends(t, tail)
 
@@ -429,7 +438,7 @@ def future_ends(t: MetricTree, tail: str, head: str) -> frozenset[str]:
 def vertex_distance(t: MetricTree, u: str, v: str) -> Fraction:
     """Exact distance between two vertices, through their meet."""
     depth = t._root().depth
-    return depth[u] + depth[v] - 2 * depth[t.meet(u, v)]
+    return depth[u] + depth[v] - 2 * depth[meet(t, u, v)]
 
 
 def _portals(t: MetricTree, p: TreePoint) -> list[tuple[str, Fraction]]:

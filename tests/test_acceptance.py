@@ -19,24 +19,22 @@ import pytest
 from wassertree import (
     BoundaryMeasure,
     Coupling,
-    antagonist_pairs,
     compute_flow_field,
     family_analyze,
     FamilySpec,
     is_cyclically_monotone,
     lift,
     decide,
-    snapshot,
+    snapshots,
     solve_optimal_coupling,
     specific_flow_second_moment,
     verify_geodesic,
 )
-from wassertree.theory import check_flow_bounds, second_moment, uncross
-
 from gen import random_coupling, random_measures, random_tree
 from oracles import antagonism, cycles
 from oracles.costs import brute_force_value, cost_matrix, coupling_value
 from oracles.lp import solve_transportation
+from oracles.theory import check_flow_bounds, second_moment, uncross
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 
@@ -63,8 +61,8 @@ def _instances(seed, count, max_side):
 def _anti_optimal_coupling(cm, minus, plus):
     rows, cols = cm.rows, cm.cols
     costs = [[-cm.cost(a, b) for b in cols] for a in rows]
-    supplies = [minus.mass(a) for a in rows]
-    demands = [plus.mass(b) for b in cols]
+    supplies = [minus.atoms[a] for a in rows]
+    demands = [plus.atoms[b] for b in cols]
     masses, _ = solve_transportation(costs, supplies, demands, lex_tiebreak=True)
     return Coupling({(rows[i], cols[j]): q for (i, j), q in masses.items()})
 
@@ -93,7 +91,7 @@ def test_criterion_1_caterpillar_end_to_end(caterpillar, caterpillar_measures):
     if moment != 2:
         failures.append(f"specific-flow moment {moment} != 2")
     plan = lift(pi, caterpillar)
-    mu0 = second_moment(snapshot(plan, 0, caterpillar), caterpillar)
+    mu0 = second_moment(snapshots(plan, [0], caterpillar)[0], caterpillar)
     if mu0 != 2 or mu0 != -value:
         failures.append(f"second moment {mu0} != 2 = -value")
     elapsed = time.monotonic() - started
@@ -190,14 +188,15 @@ def test_criterion_6_uncrossing():
     crossed_seen = 0
     for idx, (t, minus, plus) in enumerate(instances):
         cm = cost_matrix(t, minus, plus)
-        _, best = solve_optimal_coupling(compute_flow_field(t, minus, plus))
+        ff = compute_flow_field(t, minus, plus)
+        _, best = solve_optimal_coupling(ff)
         for _ in range(5):
             pi = random_coupling(rng, minus, plus)
-            if not antagonist_pairs(lift(pi, t), t):
+            if not verify_geodesic(lift(pi, t), ff).antagonists:
                 continue
             crossed_seen += 1
             fixed = uncross(pi, t)
-            if antagonist_pairs(lift(fixed, t), t):
+            if verify_geodesic(lift(fixed, t), ff).antagonists:
                 failures.append(f"instance {idx}: uncross left antagonists")
             if coupling_value(fixed, cm) > coupling_value(pi, cm):
                 failures.append(f"instance {idx}: uncross increased the objective")

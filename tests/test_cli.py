@@ -13,6 +13,8 @@ from wassertree import OversizeError, cli, serialize
 from wassertree.rationals import decimal_string
 from wassertree.serialize import load_instance
 
+from gen import measures_to_json, tree_to_json
+
 SAMPLES = Path(__file__).parent.parent / "samples"
 
 
@@ -508,15 +510,15 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_emitted_artifacts_reparse(tmp_path):
     tree, measures, _ = load_instance(str(SAMPLES / "caterpillar.json"))
-    emitted = serialize.tree_to_json(tree)
-    emitted["measures"] = serialize.measures_to_json(*measures)
+    emitted = tree_to_json(tree)
+    emitted["measures"] = measures_to_json(*measures)
     path = write(tmp_path, "roundtrip.json", emitted)
     tree2, measures2, _ = load_instance(path)
     assert tree2.vertices == tree.vertices
     assert tree2.edges == tree.edges
     assert tree2.ends == tree.ends
     assert measures2 == measures
-    assert serialize.tree_to_json(tree2) == serialize.tree_to_json(tree)
+    assert tree_to_json(tree2) == tree_to_json(tree)
 
 
 def test_coupling_round_trip():

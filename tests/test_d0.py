@@ -20,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from wassertree import MetricTree, cli, serialize
+from wassertree import MetricTree, cli
 
-from gen import random_tree
+from gen import random_tree, tree_to_json
+from oracles import rooted
 from oracles.d0 import d0_report
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -93,7 +94,7 @@ def run_d0(path, *extra) -> str:
 
 def write_tree(tmp_path, index, t) -> Path:
     path = tmp_path / f"tree{index}.json"
-    path.write_text(json.dumps(serialize.tree_to_json(t)))
+    path.write_text(json.dumps(tree_to_json(t)))
     return path
 
 
@@ -119,4 +120,4 @@ def test_meets_with_matches_meet():
     for t in seeded_trees()[:-1]:
         for v in t.vertices:
             meets = t.meets_with(v)
-            assert meets == {w: t.meet(v, w) for w in t.vertices}
+            assert meets == {w: rooted.meet(t, v, w) for w in t.vertices}

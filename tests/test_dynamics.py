@@ -12,15 +12,17 @@ from wassertree import (
     ParseError,
     PlanAtom,
     TreePoint,
-    antagonist_pairs,
     compute_flow_field,
     lift,
-    snapshot,
+    snapshots,
     solve_optimal_coupling,
     specific_flow_second_moment,
     verify_geodesic,
 )
-from wassertree.theory import (
+from gen import random_coupling, random_measures, random_tree
+from oracles import cycles
+from oracles.costs import cost_matrix, coupling_value, snapshot_transport_value
+from oracles.theory import (
     align_offsets_to_time_function,
     build_time_function,
     check_flow_bounds,
@@ -28,14 +30,11 @@ from wassertree.theory import (
     flow_level_snapshot,
     plan_coupling,
     plan_edge_and_vertex_masses,
+    position,
     reverse_plan,
     second_moment,
     with_offsets,
 )
-
-from gen import random_coupling, random_measures, random_tree
-from oracles import cycles
-from oracles.costs import cost_matrix, coupling_value, snapshot_transport_value
 
 
 def _instance(rng, max_side=5):
@@ -51,6 +50,12 @@ def _instance(rng, max_side=5):
 def _optimal_plan(t, minus, plus):
     pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
     return lift(pi, t)
+
+
+def _antagonists(plan, t):
+    """The antagonist pairs ``verify_geodesic`` reports for ``plan``."""
+    ff = compute_flow_field(t, *plan_coupling(plan).marginals())
+    return list(verify_geodesic(plan, ff).antagonists)
 
 
 # -- lift ---------------------------------------------------------------------
@@ -98,19 +103,19 @@ def test_lift_round_trip(caterpillar, caterpillar_measures):
 
 def test_antagonists_bad_coupling(caterpillar):
     bad = Coupling({("A", "D"): Fraction(1, 2), ("C", "B"): Fraction(1, 2)})
-    pairs = antagonist_pairs(lift(bad, caterpillar), caterpillar)
+    pairs = _antagonists(lift(bad, caterpillar), caterpillar)
     assert len(pairs) == 1
     assert pairs[0][2] == ("edge", ("v0", "v1"))
 
 
 def test_antagonists_optimal_empty(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
-    assert antagonist_pairs(_optimal_plan(caterpillar, minus, plus), caterpillar) == []
+    assert _antagonists(_optimal_plan(caterpillar, minus, plus), caterpillar) == []
 
 
 def test_antagonists_single_atom(caterpillar):
     plan = lift(Coupling({("A", "D"): Fraction(1)}), caterpillar)
-    assert antagonist_pairs(plan, caterpillar) == []
+    assert _antagonists(plan, caterpillar) == []
 
 
 # -- edge and vertex masses ----------------------------------------------------
@@ -233,12 +238,12 @@ def test_time_function_neutral_subtree_constant():
 def test_snapshot_times(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     plan = _optimal_plan(caterpillar, minus, plus)
-    s0 = snapshot(plan, 0, caterpillar)
+    s0 = snapshots(plan, [0], caterpillar)[0]
     assert s0.atoms == {
         TreePoint.at_vertex("v0"): Fraction(1, 2),
         TreePoint.at_vertex("v1"): Fraction(1, 2),
     }
-    s1 = snapshot(plan, 1, caterpillar)
+    s1 = snapshots(plan, [1], caterpillar)[0]
     assert s1.atoms == {
         TreePoint.on_ray("B", "v0", Fraction(1)): Fraction(1, 2),
         TreePoint.on_ray("D", "v1", Fraction(1)): Fraction(1, 2),
@@ -247,7 +252,7 @@ def test_snapshot_times(caterpillar, caterpillar_measures):
 
 def test_snapshot_single_atom_at_deepest_point(caterpillar):
     plan = lift(Coupling({("C", "D"): Fraction(1)}), caterpillar)
-    s0 = snapshot(plan, 0, caterpillar)
+    s0 = snapshots(plan, [0], caterpillar)[0]
     assert s0.atoms == {TreePoint.at_vertex("v1"): Fraction(1)}
 
 
@@ -258,16 +263,16 @@ def test_snapshot_mass_conservation_random():
         pi = random_coupling(rng, minus, plus)
         plan = lift(pi, t)
         for time in (Fraction(-7, 2), Fraction(0), Fraction(1, 3), Fraction(5)):
-            assert snapshot(plan, time, t).total_mass() == 1
+            assert sum(snapshots(plan, [time], t)[0].atoms.values()) == 1
 
 
 def test_second_moment_examples(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     plan = _optimal_plan(caterpillar, minus, plus)
-    assert second_moment(snapshot(plan, 0, caterpillar), caterpillar) == 2
-    assert second_moment(snapshot(plan, 1, caterpillar), caterpillar) == 5
+    assert second_moment(snapshots(plan, [0], caterpillar)[0], caterpillar) == 2
+    assert second_moment(snapshots(plan, [1], caterpillar)[0], caterpillar) == 5
     delta = lift(Coupling({("A", "B"): Fraction(1)}), caterpillar)
-    assert second_moment(snapshot(delta, 0, caterpillar), caterpillar) == 0
+    assert second_moment(snapshots(delta, [0], caterpillar)[0], caterpillar) == 0
 
 
 def test_second_moment_identity_random():
@@ -280,7 +285,7 @@ def test_second_moment_identity_random():
         plan = lift(pi, t)
         cm = cost_matrix(t, minus, plus)
         expected = -coupling_value(pi, cm)
-        assert second_moment(snapshot(plan, 0, t), t) == expected
+        assert second_moment(snapshots(plan, [0], t)[0], t) == expected
 
 
 def test_moment_bound_random():
@@ -293,11 +298,11 @@ def test_moment_bound_random():
         moment = specific_flow_second_moment(t, ff)
         pi, _ = solve_optimal_coupling(ff)
         plan = lift(pi, t)
-        base = second_moment(snapshot(plan, 0, t), t)
+        base = second_moment(snapshots(plan, [0], t)[0], t)
         assert moment <= base
         offsets = [Fraction(rng.randint(-3, 3)) for _ in plan.atoms]
         shifted = with_offsets(plan, offsets)
-        assert moment <= second_moment(snapshot(shifted, 0, t), t)
+        assert moment <= second_moment(snapshots(shifted, [0], t)[0], t)
 
 
 # -- level snapshots ---------------------------------------------------------------
@@ -311,8 +316,8 @@ def test_level_snapshot_matches_aligned_plan(caterpillar, caterpillar_measures):
     aligned = align_offsets_to_time_function(plan, tf, caterpillar)
     for time in (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)):
         level = flow_level_snapshot(caterpillar, ff, tf, time)
-        assert level.snapshot.atoms == snapshot(aligned, time, caterpillar).atoms
-        assert level.snapshot.total_mass() == 1
+        assert level.snapshot.atoms == snapshots(aligned, [time], caterpillar)[0].atoms
+        assert sum(level.snapshot.atoms.values()) == 1
     # The neutral spine has two flow-carrying boundary vertices on the
     # same level, which is flagged for review (masses stay per vertex).
     at_zero = flow_level_snapshot(caterpillar, ff, tf, 0)
@@ -327,15 +332,15 @@ def test_level_snapshot_matches_aligned_plan_random():
         t, minus, plus = _instance(rng)
         pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
         plan = lift(pi, t)
-        if antagonist_pairs(plan, t):
+        if _antagonists(plan, t):
             continue
         ff = compute_flow_field(t, minus, plus)
         tf = build_time_function(t, ff)
         aligned = align_offsets_to_time_function(plan, tf, t)
         for time in (Fraction(-5), Fraction(-1, 2), Fraction(0), Fraction(2, 3), Fraction(4)):
             level = flow_level_snapshot(t, ff, tf, time)
-            assert level.snapshot.atoms == snapshot(aligned, time, t).atoms
-            assert level.snapshot.total_mass() == 1
+            assert level.snapshot.atoms == snapshots(aligned, [time], t)[0].atoms
+            assert sum(level.snapshot.atoms.values()) == 1
 
 
 def test_level_snapshot_differs_from_zero_offsets_off_base_levels():
@@ -355,12 +360,12 @@ def test_level_snapshot_differs_from_zero_offsets_off_base_levels():
     assert tf.vertex_time["g"] == 2
     pi, _ = solve_optimal_coupling(ff)
     plan = lift(pi, t)
-    assert not antagonist_pairs(plan, t)
+    assert not _antagonists(plan, t)
     level0 = flow_level_snapshot(t, ff, tf, 0).snapshot
-    zero0 = snapshot(plan, 0, t)
+    zero0 = snapshots(plan, [0], t)[0]
     assert level0.atoms != zero0.atoms
     aligned = align_offsets_to_time_function(plan, tf, t)
-    assert snapshot(aligned, 0, t).atoms == level0.atoms
+    assert snapshots(aligned, [0], t)[0].atoms == level0.atoms
 
 
 # -- reversal ------------------------------------------------------------------
@@ -376,7 +381,7 @@ def test_reverse_plan_mirrors_snapshots_random():
         nm, np_ = plan_coupling(reversed_plan).marginals()
         assert nm == plus and np_ == minus
         for time in (Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(2)):
-            assert snapshot(reversed_plan, time, t).atoms == snapshot(plan, -time, t).atoms
+            assert snapshots(reversed_plan, [time], t)[0].atoms == snapshots(plan, [-time], t)[0].atoms
 
 
 # -- geodesic verification -------------------------------------------------------
@@ -407,7 +412,7 @@ def test_verify_geodesic_bad_plan(caterpillar, caterpillar_measures):
     assert (r, s) == (Fraction(-1), Fraction(1))
     assert value <= 2 and expected == 4 and not ok
     exact = snapshot_transport_value(
-        caterpillar, snapshot(bad, r, caterpillar), snapshot(bad, s, caterpillar)
+        caterpillar, snapshots(bad, [r], caterpillar)[0], snapshots(bad, [s], caterpillar)[0]
     )
     assert exact == 2
 
@@ -464,7 +469,7 @@ def test_verify_geodesic_random_optimal():
 def _induced_snapshot_coupling(plan, t, r, s):
     atoms = {}
     for a in plan.atoms:
-        key = (a.position(r, t), a.position(s, t))
+        key = (position(a, r, t), position(a, s, t))
         atoms[key] = atoms.get(key, Fraction(0)) + a.mass
     points_r = {p for (p, _q) in atoms}
     points_s = {q for (_p, q) in atoms}
@@ -505,7 +510,7 @@ def test_antagonism_iff_snapshot_coupling_not_monotone():
         t, minus, plus = _instance(rng, max_side=4)
         pi = random_coupling(rng, minus, plus)
         plan = lift(pi, t)
-        pairs = antagonist_pairs(plan, t)
+        pairs = _antagonists(plan, t)
         if pairs:
             crossed_seen += 1
             r, s = _witness_window(plan, t, pairs)

@@ -192,7 +192,7 @@ def test_end_edge_balance_random():
         t, minus, plus = _antipodal_instance(rng)
         ff = compute_flow_field(t, minus, plus)
         for e in t.ends:
-            assert ff.flow_to_end(e) == plus.mass(e) - minus.mass(e)
+            assert ff.flow_to_end(e) == plus.atoms.get(e, 0) - minus.atoms.get(e, 0)
 
 
 def test_swap_negates_edge_flows_random():

@@ -1,9 +1,11 @@
-"""The package's import boundary, checked on its source and in a fresh interpreter.
+"""The package's boundary, checked in a fresh interpreter and on its source.
 
-``wassertree.theory`` holds the statements only the tests check; the
-decision path (``decide``, ``family_analyze`` and every CLI subcommand)
-must neither import it nor load it.  Every module also imports only
-names it uses or re-exports.
+The package holds only what the system runs: the decision path
+(``decide``, ``realize``, ``family_analyze`` and every CLI subcommand)
+loads every one of its modules and runs every public function and
+method they define, and the references the tests check it against live
+under ``tests/oracles/``.  Every module also imports only names it uses
+or re-exports.
 """
 
 import ast
@@ -19,16 +21,24 @@ PACKAGE = Path(wassertree.__file__).parent
 ROOT = Path(__file__).parent.parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-# Runs every CLI subcommand on each sample it accepts, then decide and
-# family_analyze, and reports the exit codes and the loaded modules.
+# Runs every CLI subcommand on each sample it accepts, then decide,
+# realize and family_analyze, and reports the exit codes, the loaded
+# modules and every function of the package that ran.
 _DECISION_PATH = r"""
 import argparse, contextlib, io, json, sys
 from fractions import Fraction
 from pathlib import Path
 
-from wassertree import FamilySpec, cli, decide, family_analyze, serialize
+from wassertree import FamilySpec, cli, decide, family_analyze, lift, realize, serialize, snapshots
 
 samples, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+sys.setprofile(profile)
 codes = {}
 for sample in sorted(samples.glob("*.json")):
     data = json.loads(sample.read_text())
@@ -40,43 +50,37 @@ for sample in sorted(samples.glob("*.json")):
         runs = [[command, "--input", str(sample)] for command in ("validate", "flows", "d0", "solve")]
         runs.append(["realize", "--input", str(sample), "--times=-1,0,1/2", "--decimal", "6",
                      "--dot", str(tmp / (sample.stem + ".dot"))])
-        if "coupling" in data:
-            runs.append(["check-monotone", "--input", str(sample)])
-        tree, (minus, plus), _ = serialize.load_instance(str(sample))
+        tree, (minus, plus), coupling = serialize.load_instance(str(sample))
         assert decide(tree, minus, plus).geodesic.passed
+        realize(tree, minus, plus, [0])
+        if coupling is not None:
+            runs.append(["check-monotone", "--input", str(sample)])
+            snapshots(lift(coupling, tree), [1], tree)  # a crossing atom midway along an edge
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes[f"{argv[0]} {sample.name}"] = cli.main(argv)
+sys.setprofile(None)
 subparsers = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
 subcommands = sorted(subparsers[0].choices)
-print(json.dumps({"codes": codes, "subcommands": subcommands, "modules": sorted(sys.modules)}))
+ran = sorted(f"{Path(name).name}:{qualname}" for name, qualname in called if Path(name).parent.name == "wassertree")
+print(json.dumps({"codes": codes, "subcommands": subcommands, "modules": sorted(sys.modules), "ran": ran}))
 """
 
 
-def _imported_modules(tree: ast.Module) -> set[str]:
-    """Absolute names of the modules ``tree`` imports, and of the names it imports from them."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                base = "wassertree" + ("." + base if base else "")
-            names.add(base)
-            names.update(f"{base}.{alias.name}" for alias in node.names)
+def _public_functions(path: Path) -> list[str]:
+    """``file:qualname`` of every public function and method ``path`` defines."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        scope, prefix = [node], ""
+        if isinstance(node, ast.ClassDef):
+            scope, prefix = node.body, node.name + "."
+        for item in scope:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                names.append(f"{path.name}:{prefix}{item.name}")
     return names
 
 
-def test_no_module_imports_theory():
-    for path in MODULES:
-        if path.stem == "theory":
-            continue
-        imported = _imported_modules(ast.parse(path.read_text()))
-        assert "wassertree.theory" not in imported, f"{path.name} imports wassertree.theory"
-
-
-def test_decision_path_never_loads_theory(tmp_path):
+def test_decision_path_reaches_every_module_and_public_function(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", _DECISION_PATH, str(ROOT / "samples"), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])},
@@ -88,8 +92,10 @@ def test_decision_path_never_loads_theory(tmp_path):
     result = json.loads(done.stdout)
     assert all(code == 0 for code in result["codes"].values()), result["codes"]
     assert {key.split()[0] for key in result["codes"]} == set(result["subcommands"])
-    assert "wassertree.cli" in result["modules"]
-    assert "wassertree.theory" not in result["modules"]
+    package = {"wassertree" if p.stem == "__init__" else f"wassertree.{p.stem}" for p in MODULES}
+    assert package <= set(result["modules"]), sorted(package - set(result["modules"]))
+    public = {name for path in MODULES for name in _public_functions(path)}
+    assert public <= set(result["ran"]), sorted(public - set(result["ran"]))
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -13,17 +13,15 @@ from wassertree import (
     family_analyze,
     decide,
     realize,
-    snapshot,
     snapshots,
     spine_truncation,
     validate_tree,
     verify_geodesic,
 )
-from wassertree.theory import reverse_plan, second_moment
-
 from wassertree.realizability import MAX_LEVEL
 
 from gen import random_measures, random_tree
+from oracles.theory import plan_coupling, reverse_plan, second_moment
 
 
 def _instance(rng, max_side=5):
@@ -45,7 +43,7 @@ def test_decide_caterpillar(caterpillar, caterpillar_measures):
     assert report.verdict == "realizable"
     assert report.lp_value == -2
     assert report.flow_moment == 2
-    assert second_moment(snapshot(report.plan, 0, caterpillar), caterpillar) == 2
+    assert second_moment(snapshots(report.plan, [0], caterpillar)[0], caterpillar) == 2
     assert report.geodesic.passed
 
 
@@ -75,7 +73,7 @@ def test_decide_random_moment_identity():
         report = decide(t, minus, plus)
         assert report.verdict == "realizable"
         assert report.geodesic.passed
-        mu0 = snapshot(report.plan, 0, t)
+        mu0 = snapshots(report.plan, [0], t)[0]
         assert -report.lp_value == second_moment(mu0, t)
         assert report.flow_moment <= second_moment(mu0, t)
 
@@ -90,8 +88,8 @@ def test_swap_yields_time_reversed_geodesic():
         reversed_plan = reverse_plan(fwd.plan)
         for time in (Fraction(-2), Fraction(0), Fraction(3, 2)):
             assert (
-                snapshot(reversed_plan, time, t).atoms
-                == snapshot(fwd.plan, -time, t).atoms
+                snapshots(reversed_plan, [time], t)[0].atoms
+                == snapshots(fwd.plan, [-time], t)[0].atoms
             )
 
 
@@ -99,8 +97,6 @@ def test_swap_yields_time_reversed_geodesic():
 
 
 def test_realize_caterpillar(caterpillar, caterpillar_measures):
-    from wassertree.theory import plan_coupling
-
     minus, plus = caterpillar_measures
     coupling, plan, snaps = realize(caterpillar, minus, plus, times=[0, 1])
     assert coupling.atoms == {("A", "B"): Fraction(1, 2), ("C", "D"): Fraction(1, 2)}
@@ -131,7 +127,7 @@ def test_float_times_are_refused(caterpillar, caterpillar_measures):
     with pytest.raises(ParseError, match=float_hint):
         realize(caterpillar, minus, plus, times=[0.1])
     with pytest.raises(ParseError, match=float_hint):
-        snapshot(plan, 0.1, caterpillar)
+        snapshots(plan, [0.1], caterpillar)
     with pytest.raises(ParseError, match=float_hint):
         snapshots(plan, [1, 0.1], caterpillar)
 
@@ -140,7 +136,7 @@ def test_float_times_are_refused(caterpillar, caterpillar_measures):
     assert [r for r, *_ in geodesic.speed_checks[:2]] == [Fraction(1, 10)] * 2
     assert verify_geodesic(plan, ff, ["1/10", " 7/10", 2]) == geodesic
     _, _, snaps = realize(caterpillar, minus, plus, times=["1/10", 2])
-    assert snaps == [snapshot(plan, Fraction(1, 10), caterpillar), snapshot(plan, 2, caterpillar)]
+    assert snaps == snapshots(plan, [Fraction(1, 10), 2], caterpillar)
 
 
 def test_realize_rejects_not_antipodal(caterpillar):

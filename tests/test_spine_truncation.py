@@ -2,7 +2,8 @@
 
 ``spine_truncation`` builds level K's tree in canonical form directly;
 ``tests/oracles/spine.py`` keeps the route it replaced, a raw spine of
-K + 1 vertices handed to ``canonicalize``.  Both give the same tree,
+K + 1 vertices handed to the reference ``canonicalize``
+(``tests/oracles/rooted.py``).  Both give the same tree,
 field by field, the same validation report and walk, and the same two
 measures, and both refuse the same inputs with the same exception
 classes.  ``family_analyze`` builds one tree per level and walks it once.
@@ -22,7 +23,6 @@ from wassertree import (
     ParseError,
     StructureError,
     family_analyze,
-    realizability,
 )
 from wassertree import tree as tree_module
 from wassertree.realizability import spine_truncation
@@ -146,21 +146,11 @@ def test_family_analyze_builds_one_tree_per_level(monkeypatch):
         walks.append(t)
         return walk(t)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("canonicalize on the family route")
-
     monkeypatch.setattr(MetricTree, "__init__", counted_init)
     monkeypatch.setattr(tree_module, "_walk_from_base", counted_walk)
-    monkeypatch.setattr(tree_module, "canonicalize", refused)
     for name, spec in _specs():
         built.clear()
         walks.clear()
         family_analyze(spec, 12, Fraction(1, 1000))
         assert len(built) == 12 and walks == built, name
 
-
-def test_only_the_tree_module_names_canonicalize():
-    package = ROOT / "src" / "wassertree"
-    naming = {p.name for p in package.glob("*.py") if "canonicalize" in p.read_text()}
-    assert naming == {"tree.py", "__init__.py"}
-    assert not hasattr(realizability, "canonicalize")

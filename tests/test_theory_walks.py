@@ -1,10 +1,12 @@
-"""Differential tests: the time function and the level ties from the rooted preorder.
+"""The time function and the level ties from the rooted preorder.
 
 ``theory.build_time_function`` and the neutral components of
-``theory.flow_level_snapshot`` are one pass over the rooted preorder
-each.  The adjacency searches they replaced live in
-``tests/oracles/levels.py``; every test here compares the two by exact
-equality, at the time level of every vertex.
+``theory.flow_level_snapshot`` (both in ``tests/oracles/theory.py``) are
+one pass over the rooted preorder each.  The adjacency searches they
+replaced live in ``tests/oracles/levels.py``; the differential tests
+here compare the two by exact equality, at the time level of every
+vertex.  The first test is the worked example of checking the theory
+on the caterpillar.
 """
 
 import json
@@ -12,13 +14,30 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from wassertree import BoundaryMeasure, FamilySpec, MetricTree, compute_flow_field, serialize
-from wassertree.theory import build_time_function, flow_level_snapshot
+from wassertree import (
+    BoundaryMeasure,
+    FamilySpec,
+    MetricTree,
+    compute_flow_field,
+    lift,
+    serialize,
+    solve_optimal_coupling,
+)
 
 from gen import random_measures, random_tree
 from oracles import levels
+from oracles.theory import build_time_function, check_flow_bounds, flow_level_snapshot
 
 SAMPLES = Path(__file__).parent.parent / "samples"
+
+
+def test_caterpillar_flow_bounds_and_time_function(caterpillar, caterpillar_measures):
+    ff = compute_flow_field(caterpillar, *caterpillar_measures)
+    coupling, _ = solve_optimal_coupling(ff)
+    plan = lift(coupling, caterpillar)
+    report = check_flow_bounds(plan, ff)
+    assert report.all_equal and report.antagonism_free  # mass equals flow everywhere
+    assert build_time_function(caterpillar, ff).vertex_time == {"v0": 0, "v1": 0}  # the edge is neutral
 
 
 def _even_measures(rng, t):

@@ -10,17 +10,17 @@ from wassertree import (
     DomainError,
     MetricTree,
     OversizeError,
-    antagonist_pairs,
     compute_flow_field,
     is_cyclically_monotone,
     lift,
     solve_optimal_coupling,
+    verify_geodesic,
 )
-from wassertree.theory import uncross
 
 from gen import random_coupling, random_measures, random_tree, random_vertex_coupling
 from oracles.costs import CostMatrix, brute_force_value, cost_matrix, coupling_value
 from oracles.lp import min_cost_transport_value, solve_transportation
+from oracles.theory import uncross
 
 
 def _instance(rng, max_side=6):
@@ -190,8 +190,8 @@ def test_exhaustive_basis_enumeration_agrees_small():
         cm = cost_matrix(t, minus, plus)
         rows, cols = cm.rows, cm.cols
         costs = [[cm.cost(a, b) for b in cols] for a in rows]
-        supplies = [minus.mass(a) for a in rows]
-        demands = [plus.mass(b) for b in cols]
+        supplies = [minus.atoms[a] for a in rows]
+        demands = [plus.atoms[b] for b in cols]
         vertices = _all_vertices_by_basis(costs, supplies, demands)
         best = min(
             sum((costs[i][j] * q for (i, j), q in vertex), Fraction(0))
@@ -296,8 +296,8 @@ def test_lex_tiebreak_is_lex_max_over_optima():
         cm = cost_matrix(t, minus, plus)
         rows, cols = cm.rows, cm.cols
         costs = [[cm.cost(a, b) for b in cols] for a in rows]
-        supplies = [minus.mass(a) for a in rows]
-        demands = [plus.mass(b) for b in cols]
+        supplies = [minus.atoms[a] for a in rows]
+        demands = [plus.atoms[b] for b in cols]
         vertices = _all_vertices_by_basis(costs, supplies, demands)
         pairs = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
 
@@ -355,7 +355,7 @@ def test_monotone_optimal_caterpillar(caterpillar, caterpillar_measures):
     minus, plus = caterpillar_measures
     pi, _ = solve_optimal_coupling(compute_flow_field(caterpillar, minus, plus))
     result = is_cyclically_monotone(pi, caterpillar)
-    assert result.monotone and result.exhaustive
+    assert result.monotone and result.witness is None
 
 
 def test_monotone_detects_crossing(caterpillar, caterpillar_measures):
@@ -387,7 +387,7 @@ def test_monotone_ten_atoms_exhaustive():
     pi = Coupling({(f"a{i}", f"b{i}"): Fraction(1, 10) for i in range(10)})
     result = is_cyclically_monotone(pi, t)
     assert len(pi.atoms) == 10
-    assert result.monotone and result.exhaustive
+    assert result.monotone and result.witness is None
 
 
 # -- uncross ------------------------------------------------------------------
@@ -410,14 +410,15 @@ def test_uncross_properties_random():
     for _ in range(60):
         t, minus, plus = _instance(rng)
         cm = cost_matrix(t, minus, plus)
+        ff = compute_flow_field(t, minus, plus)
         pi = random_coupling(rng, minus, plus)
         fixed = uncross(pi, t)
         fm, fp = fixed.marginals()
         assert fm == minus and fp == plus
         assert coupling_value(fixed, cm) <= coupling_value(pi, cm)
-        assert not antagonist_pairs(lift(fixed, t), t)
+        assert not verify_geodesic(lift(fixed, t), ff).antagonists
         assert is_cyclically_monotone(fixed, t).monotone
-        _, best = solve_optimal_coupling(compute_flow_field(t, minus, plus))
+        _, best = solve_optimal_coupling(ff)
         assert coupling_value(fixed, cm) == best
 
 
@@ -439,8 +440,9 @@ def test_solver_output_is_uncrossed_and_monotone():
     rng = random.Random(85)
     for _ in range(40):
         t, minus, plus = _instance(rng)
-        pi, _ = solve_optimal_coupling(compute_flow_field(t, minus, plus))
-        assert not antagonist_pairs(lift(pi, t), t)
+        ff = compute_flow_field(t, minus, plus)
+        pi, _ = solve_optimal_coupling(ff)
+        assert not verify_geodesic(lift(pi, t), ff).antagonists
         assert is_cyclically_monotone(pi, t).monotone
 
 
@@ -451,8 +453,9 @@ def test_monotone_iff_antagonism_free_many_instances():
     rng = random.Random(81)
     for _ in range(110):
         t, minus, plus = _instance(rng, max_side=4)
+        ff = compute_flow_field(t, minus, plus)
         for _ in range(3):
             pi = random_coupling(rng, minus, plus)
             monotone = is_cyclically_monotone(pi, t).monotone
-            free = not antagonist_pairs(lift(pi, t), t)
+            free = not verify_geodesic(lift(pi, t), ff).antagonists
             assert monotone == free

@@ -25,15 +25,16 @@ from wassertree import (
     family_analyze,
     lift,
     optimal_value,
-    snapshot,
+    snapshots,
     solve_optimal_coupling,
     specific_flow_second_moment,
     verify_geodesic,
 )
-from wassertree.theory import dist, reverse_plan, with_offsets
-from wassertree import cli, flows, realizability, theory, transport, tree
+from wassertree import cli, flows, realizability, transport, tree
 
 from gen import random_coupling, random_measures, random_tree
+from oracles import theory
+from oracles.theory import dist, position, reverse_plan, with_offsets
 from oracles.costs import brute_force_value, cost_matrix, snapshot_transport_value
 from oracles.lp import solve_transportation
 from test_acceptance import SAMPLES, _instances
@@ -65,8 +66,8 @@ def _random_instances(seed, count):
 
 def _lex_simplex(cm, minus, plus):
     costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
-    supplies = [minus.mass(a) for a in cm.rows]
-    demands = [plus.mass(b) for b in cm.cols]
+    supplies = [minus.atoms[a] for a in cm.rows]
+    demands = [plus.atoms[b] for b in cm.cols]
     masses, value = solve_transportation(costs, supplies, demands, lex_tiebreak=True)
     atoms = {(cm.rows[i], cm.cols[j]): q for (i, j), q in masses.items()}
     return atoms, value
@@ -101,8 +102,8 @@ def test_closed_form_equals_simplex_on_spines(name):
         tree, minus, plus = spec.truncation(level)
         cm = cost_matrix(tree, minus, plus)
         costs = [[cm.cost(a, b) for b in cm.cols] for a in cm.rows]
-        supplies = [minus.mass(a) for a in cm.rows]
-        demands = [plus.mass(b) for b in cm.cols]
+        supplies = [minus.atoms[a] for a in cm.rows]
+        demands = [plus.atoms[b] for b in cm.cols]
         _, lp_value = solve_transportation(costs, supplies, demands)
         assert reported == lp_value, f"{name} level {level}"
 
@@ -115,7 +116,7 @@ def test_certified_speed_checks_equal_snapshot_lp():
         assert len(checks) == 10
         for r, s, value, _expected, _ok in checks:
             oracle = snapshot_transport_value(
-                t, snapshot(report.plan, r, t), snapshot(report.plan, s, t)
+                t, snapshots(report.plan, [r], t)[0], snapshots(report.plan, [s], t)[0]
             )
             assert value == oracle, f"instance {idx}: W2^2({r},{s})"
 
@@ -149,13 +150,13 @@ def test_speed_certificate_brackets_snapshot_lp():
         report = verify_geodesic(plan, ff, times)
         unit_speed = True
         for r, s, value, expected, ok in report.speed_checks:
-            oracle = snapshot_transport_value(t, snapshot(plan, r, t), snapshot(plan, s, t))
+            oracle = snapshot_transport_value(t, snapshots(plan, [r], t)[0], snapshots(plan, [s], t)[0])
             where = f"plan {idx}: W2^2({r},{s})"
             assert value <= oracle <= expected, where
             assert not ok or oracle == expected, where
             # The upper bound the certificate takes in closed form.
             upper = sum(
-                (a.mass * dist(t, a.position(r, t), a.position(s, t)) ** 2 for a in plan.atoms),
+                (a.mass * dist(t, position(a, r, t), position(a, s, t)) ** 2 for a in plan.atoms),
                 Fraction(0),
             )
             assert upper == expected == (s - r) ** 2, where

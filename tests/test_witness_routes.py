@@ -22,7 +22,6 @@ from wassertree import (
     BoundaryMeasure,
     Coupling,
     MetricTree,
-    antagonist_pairs,
     cli,
     compute_flow_field,
     decide,
@@ -31,17 +30,14 @@ from wassertree import (
     lift,
     realizability,
     realize,
-    serialize,
-    snapshot,
     snapshots,
     solve_optimal_coupling,
     verify_geodesic,
 )
-from wassertree import theory
-from wassertree.theory import reverse_plan, with_offsets
 
-from gen import random_coupling, random_measures, random_tree
-from oracles import antagonism, certificate, greedy
+from gen import measures_to_json, random_coupling, random_measures, random_tree, tree_to_json
+from oracles import antagonism, certificate, greedy, theory
+from oracles.theory import position, reverse_plan, with_offsets
 from test_acceptance import _instances
 from test_tree_native import _non_geodesic_plans, _random_instances
 
@@ -108,7 +104,7 @@ def test_decide_reads_no_time_function(monkeypatch):
         if name.split(".")[0] == "wassertree" and getattr(module, "build_time_function", None) is theory.build_time_function:
             monkeypatch.setattr(module, "build_time_function", refuse)
     monkeypatch.setattr(theory.TimeFunction, "at_point", refuse)
-    monkeypatch.setattr(dynamics.PlanAtom, "position", refuse)
+    monkeypatch.setattr(theory, "position", refuse)
     for t, minus, plus in _random_instances(seed=4711, count=50):
         report = decide(t, minus, plus)
         assert report.geodesic.passed
@@ -136,7 +132,7 @@ def test_decide_reads_no_dense_view(monkeypatch):
     ``MetricTree.path`` exactly once per atom, the greedy
     (``solve_optimal_coupling``) walks the paths it prices, and no other
     stage calls it: not ``lift``, and not the choice of the default
-    sample times.  No route builds a vertex chain (``vertex_path``).
+    sample times.
     """
     stage = []
     calls = Counter()
@@ -167,7 +163,6 @@ def test_decide_reads_no_dense_view(monkeypatch):
     monkeypatch.setattr(realizability, "verify_geodesic", flagged("verify", verify_geodesic))
     monkeypatch.setattr(realizability, "solve_optimal_coupling", flagged("solve", solve_optimal_coupling))
     monkeypatch.setattr(MetricTree, "path", counted)
-    monkeypatch.setattr(MetricTree, "vertex_path", refuse("vertex_path"))
     for t, minus, plus in _random_instances(seed=4713, count=50):
         t._root()
         t.vertices, t.edges = _Unscannable(t.vertices), _Unscannable(t.edges)
@@ -184,14 +179,14 @@ def test_decide_reads_no_dense_view(monkeypatch):
 
 
 def test_snapshots_walk_each_atom_path_once(monkeypatch, tmp_path):
-    """``snapshot``, ``realize`` and ``cli realize`` read each atom's path once.
+    """``snapshots``, ``realize`` and ``cli realize`` read each atom's path once.
 
     On a seeded 40-vertex tree whose plan has 7 atoms, ``decide`` walks
     14 paths (the greedy's and the verifier's) and the snapshots at four
     times add one walk per atom, not one per atom and time.  The CLI
     renders the plan's vertex chains from those same walks.  The
     snapshots equal the ones built atom by atom with
-    :meth:`PlanAtom.position`, key order included.
+    ``oracles.theory.position``, key order included.
     """
     rng = random.Random(11)
     t = random_tree(rng, max_internal=40, min_internal=40)
@@ -212,16 +207,14 @@ def test_snapshots_walk_each_atom_path_once(monkeypatch, tmp_path):
     assert calls["path"] == 21
     calls.clear()
     assert snapshots(plan, times, t) == snaps and calls["path"] == 7
-    calls.clear()
-    assert snapshot(plan, 2, t) == snaps[2] and calls["path"] == 7
     for snap, time in zip(snaps, times):
         atoms = {}
         for a in plan.atoms:
-            point = a.position(Fraction(time), t)
+            point = position(a, Fraction(time), t)
             atoms[point] = atoms.get(point, Fraction(0)) + a.mass
         assert list(snap.atoms.items()) == list(atoms.items()) and snap.time == time
 
-    instance = {**serialize.tree_to_json(t), "measures": serialize.measures_to_json(minus, plus)}
+    instance = {**tree_to_json(t), "measures": measures_to_json(minus, plus)}
     (tmp_path / "in.json").write_text(json.dumps(instance))
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -236,8 +229,8 @@ def test_snapshots_walk_each_atom_path_once(monkeypatch, tmp_path):
 
 def test_antagonist_pairs_match_all_pairs_loop():
     crossed = clean = 0
-    for idx, (t, plan, _ff) in enumerate(_crossed_plans(seed=929292, count=300)):
-        pairs = antagonist_pairs(plan, t)
+    for idx, (t, plan, ff) in enumerate(_crossed_plans(seed=929292, count=300)):
+        pairs = list(verify_geodesic(plan, ff).antagonists)
         assert pairs == antagonism.antagonist_pairs(plan, t), f"plan {idx}"
         crossed += bool(pairs)
         clean += not pairs
@@ -245,21 +238,29 @@ def test_antagonist_pairs_match_all_pairs_loop():
 
 
 def test_antagonist_pairs_match_all_pairs_loop_with_ray_witnesses(caterpillar):
+    """Plans whose sources and targets share ends, which no plan over
+    antipodal measures does: the step index lists exactly the loop's edge
+    pairs, and the loop adds a ray pair where two atoms meet head-on on a
+    ray and share no edge."""
+    edge = ("edge", ("v0", "v1"))
     hand_built = [
         # B is the first atom's target and the second's source.
-        {("A", "B"): 1, ("B", "C"): 1},
+        ({("A", "B"): 1, ("B", "C"): 1}, [(0, 1, ("ray", "B"))]),
         # C is the first atom's source and the second's target.
-        {("C", "A"): 1, ("D", "C"): 1},
+        ({("C", "A"): 1, ("D", "C"): 1}, [(0, 1, ("ray", "C"))]),
         # Both rays at once, and a shared edge that outranks them.
-        {("A", "C"): 1, ("C", "A"): 1, ("D", "B"): 1, ("B", "D"): 1},
-        {("A", "D"): 1, ("B", "A"): 1, ("D", "B"): 1, ("C", "A"): 1},
+        (
+            {("A", "C"): 1, ("C", "A"): 1, ("D", "B"): 1, ("B", "D"): 1},
+            [(0, 2, edge), (0, 3, edge), (1, 2, edge), (1, 3, edge)],
+        ),
+        (
+            {("A", "D"): 1, ("B", "A"): 1, ("D", "B"): 1, ("C", "A"): 1},
+            [(0, 1, ("ray", "A")), (0, 2, edge), (0, 3, edge), (1, 3, ("ray", "B"))],
+        ),
     ]
+    for atoms, expected in hand_built:
+        assert antagonism.antagonist_pairs(lift(Coupling(atoms), caterpillar), caterpillar) == expected
     witnesses = Counter()
-    for atoms in hand_built:
-        plan = lift(Coupling(atoms), caterpillar)
-        pairs = antagonist_pairs(plan, caterpillar)
-        assert pairs == antagonism.antagonist_pairs(plan, caterpillar), atoms
-        witnesses.update(kind for *_, (kind, _) in pairs)
     rng = random.Random(939393)
     for _ in range(200):
         t = random_tree(rng, max_internal=rng.choice((4, 10)), extra_ends=2)
@@ -269,8 +270,9 @@ def test_antagonist_pairs_match_all_pairs_loop_with_ray_witnesses(caterpillar):
             a, b = rng.sample(ends, 2)
             atoms[(a, b)] = Fraction(rng.randint(1, 5))
         plan = lift(Coupling(atoms), t)
-        pairs = antagonist_pairs(plan, t)
-        assert pairs == antagonism.antagonist_pairs(plan, t), atoms
+        pairs = antagonism.antagonist_pairs(plan, t)
+        index = dynamics._antagonists(t, [a._path(t)[0] for a in plan.atoms])
+        assert index == [pair for pair in pairs if pair[2][0] == "edge"], atoms
         witnesses.update(kind for *_, (kind, _) in pairs)
     assert witnesses["ray"] >= 50 and witnesses["edge"] >= 50, witnesses
 
@@ -308,7 +310,7 @@ def test_pruned_greedy_equals_full_greedy_on_wide_instances(monkeypatch):
         ff = compute_flow_field(t, minus, plus)
         walked.clear()
         coupling, value = solve_optimal_coupling(ff)
-        # Counted now: the oracle's Gromov products walk through meet.
+        # The oracle climbs its own rooting, so only these walks are counted.
         mine = Counter(walked)
         full_walks = []
         expected, expected_value = greedy.solve_optimal_coupling(ff, walks=full_walks)
